@@ -63,6 +63,15 @@ impl Hist {
         self.sum += other.sum;
     }
 
+    /// Removes `earlier`, a copy this histogram has grown from.
+    pub fn subtract(&mut self, earlier: &Hist) {
+        for (a, b) in self.counts.iter_mut().zip(&earlier.counts) {
+            *a -= b;
+        }
+        self.total -= earlier.total;
+        self.sum -= earlier.sum;
+    }
+
     pub fn count(&self) -> u64 {
         self.total
     }

@@ -91,10 +91,22 @@ impl Workload {
         Self::ALL.into_iter().find(|w| w.name() == name)
     }
 
+    /// Ops of the window after which `rss_peak_mb` is read: about five
+    /// seconds' worth on a 2-CPU machine.
+    fn rss_after_ops(self) -> u64 {
+        match self {
+            Workload::LockHandoff => 35_000_000,
+            Workload::StoreUniform => 1_000_000,
+            Workload::NetPipelinedHot => 400_000,
+            Workload::NetUnpipelined => 60_000,
+        }
+    }
+
     /// Set-ups per untraced run; `setup_s` is their median.
     fn setup_reps(self) -> usize {
         match self {
-            Workload::LockHandoff => 5,
+            // Two thread spawns each: cheap, and noisy alone.
+            Workload::LockHandoff => 21,
             _ => 3,
         }
     }
@@ -129,36 +141,50 @@ impl Outcome {
     }
 }
 
-/// Times acquire+release pairs on an idle `L` in blocks of 4096.
+/// Times acquire+release pairs on an idle `L` in blocks of 1024.
 ///
-/// The machine's speed drifts over seconds, so a run probes in slices at
-/// different times and reports the fastest slice's median.
+/// The cost of a pair depends on where the lock lies relative to the
+/// thread's other data (the loader's address randomisation moves both from
+/// run to run, by up to a third of the figure), so a probe sweeps one lock
+/// per cache line of a 4 KiB span and takes the median over them. The
+/// machine's speed drifts over seconds, so a run probes in slices at
+/// different times and reports the fastest slice.
 #[derive(Default)]
 struct Probe {
     slice_medians: Vec<f64>,
 }
 
+/// One lock to a cache line.
+#[repr(align(64))]
+#[derive(Default)]
+struct Line<L>(L);
+
 impl Probe {
     /// Warms up for `warm`, then records blocks for `dur`.
     fn slice<L: RawLock>(&mut self, warm: Duration, dur: Duration) {
-        const PAIRS: u32 = 4096;
-        let lock = L::default();
+        const PAIRS: u32 = 1024;
+        const LINES: usize = 4096 / 64;
+        let locks: Vec<Line<L>> = (0..LINES).map(|_| Line::default()).collect();
         let from = Instant::now() + warm;
         let end = from + dur;
-        let mut blocks = Vec::new();
+        let mut blocks = vec![Vec::new(); LINES];
         loop {
-            let t0 = Instant::now();
-            for _ in 0..PAIRS {
-                black_box(&lock).lock();
-                // SAFETY: acquired on the line above, on this thread.
-                unsafe { black_box(&lock).unlock() };
+            for (line, times) in locks.iter().zip(&mut blocks) {
+                let lock = &line.0;
+                let t0 = Instant::now();
+                for _ in 0..PAIRS {
+                    black_box(lock).lock();
+                    // SAFETY: acquired on the line above, on this thread.
+                    unsafe { black_box(lock).unlock() };
+                }
+                let t1 = Instant::now();
+                if t0 >= from {
+                    times.push(t1.duration_since(t0).as_nanos() as f64 / f64::from(PAIRS));
+                }
             }
-            let t1 = Instant::now();
-            if t0 >= from {
-                blocks.push(t1.duration_since(t0).as_nanos() as f64 / f64::from(PAIRS));
-            }
-            if t1 >= end {
-                self.slice_medians.push(median(&blocks));
+            if Instant::now() >= end && !blocks[0].is_empty() {
+                let per_line: Vec<f64> = blocks.iter().map(|b| median(b)).collect();
+                self.slice_medians.push(median(&per_line));
                 return;
             }
         }
@@ -197,10 +223,12 @@ fn with_units(
 
 /// Runs `workload` for `seconds` of measurement.
 ///
-/// Untraced: the end-to-end metrics. Traced: the same deployment for half
-/// the time untraced, then for the other half with `TimedLock` as the
-/// store's lock and the layer probes in place; the per-layer metrics come
-/// from the second half and `bench.trace_overhead_frac` compares the two.
+/// Untraced: the end-to-end metrics. Traced: the workload for half the
+/// time with `TimedLock` as its lock and the layer probes in place, which
+/// gives the per-layer metrics, between two untraced deployments of a
+/// quarter of the time each. `bench.trace_overhead_frac` compares the
+/// traced throughput with the untraced ones' mean, so a drift of the
+/// machine's speed that is steady over the run cancels out.
 pub fn run(workload: Workload, seed: u64, seconds: f64, trace: bool) -> Outcome {
     let window = Duration::from_secs_f64(seconds);
     if !trace {
@@ -222,7 +250,7 @@ pub fn run(workload: Workload, seed: u64, seconds: f64, trace: bool) -> Outcome 
             ("lat_p99_ns", w.lat_quantile(0.99)),
             ("uncontended_ns", probe.ns()),
             ("lock_bytes", w.lock_bytes),
-            ("rss_peak_mb", w.rss_peak_mb),
+            ("rss_peak_mb", w.peak_rss_after(workload.rss_after_ops())),
         ];
         return Outcome {
             attempted: w.attempted,
@@ -232,17 +260,19 @@ pub fn run(workload: Workload, seed: u64, seconds: f64, trace: bool) -> Outcome 
         };
     }
 
-    let half = |traced| Plan {
+    let plan = |share: u32, traced| Plan {
         seed,
-        window: window / 2,
+        window: window / share,
         setup_reps: 1,
         traced,
     };
-    let base = workload.measure::<Hemlock>(&half(false));
-    let w = workload.measure::<TimedLock<Hemlock>>(&half(true));
+    let before = workload.measure::<Hemlock>(&plan(4, false));
+    let w = workload.measure::<TimedLock<Hemlock>>(&plan(2, true));
     let core = timed::snapshot();
+    let after = workload.measure::<Hemlock>(&plan(4, false));
+    let untraced_ops_per_s = (before.ops_per_s() + after.ops_per_s()) / 2.0;
     let ops = w.ops().max(1) as f64;
-    let verified = base.verified + w.verified;
+    let verified = before.verified + w.verified + after.verified;
     let mut values = vec![
         ("core.acquires_per_op", core.acquires as f64 / ops),
         ("core.wait_ns.p50", core.wait_ns(0.50)),
@@ -259,14 +289,14 @@ pub fn run(workload: Workload, seed: u64, seconds: f64, trace: bool) -> Outcome 
         ("core.fairness_spread", spread(&w.generator_ops)),
         (
             "bench.trace_overhead_frac",
-            1.0 - w.ops_per_s() / base.ops_per_s().max(1e-9),
+            1.0 - w.ops_per_s() / untraced_ops_per_s.max(1e-9),
         ),
         ("bench.values_verified", verified as f64),
     ];
     values.extend(w.layers.iter().copied());
     Outcome {
-        attempted: base.attempted + w.attempted,
-        failed: base.failed + w.failed,
+        attempted: before.attempted + w.attempted + after.attempted,
+        failed: before.failed + w.failed + after.failed,
         verified,
         metrics: with_units(&PER_LAYER, &values),
     }

@@ -2,12 +2,17 @@
 //! acquire and release it back to back with an empty critical section,
 //! so the time per operation is the hand-off itself.
 //!
+//! Latency is the time a `lock` call takes to return, sampled once every
+//! [`SAMPLE_EVERY`] acquisitions: how long a thread waits for the other's
+//! critical section and the hand-off, a figure throughput alone does not
+//! give (a hand-off that starves one thread in turns can keep throughput
+//! and still raise the tail).
+//!
 //! The critical section checks mutual exclusion: it marks itself as the
 //! owner and bumps a plain counter, and any overlapping owner or lost
 //! counter update is a failed operation.
 
-use crate::phase::{Phase, Plan, Tally, Window};
-use crate::procfs;
+use crate::phase::{Phase, Plan, Sampler, Tally, Window};
 use crate::timed;
 use hemlock_core::raw::RawLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,11 +20,15 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 pub const THREADS: usize = 2;
-/// Acquire+release pairs between two clock reads.
+/// Acquire+release pairs between two reads of the window clock.
 const BLOCK: u64 = 1024;
+/// One acquisition in this many is timed.
+const SAMPLE_EVERY: u64 = 128;
+const SAMPLES: usize = (BLOCK / SAMPLE_EVERY) as usize;
 /// How long the threads run together before the window opens. A fixed
 /// time, not a pair count: on a shared machine a descheduled thread lets
-/// the other run pairs alone at several times the contended rate.
+/// the other run pairs alone at several times the contended rate. It is
+/// a constant of the benchmark, so it is not part of `setup_s`.
 const WARMUP: Duration = Duration::from_millis(100);
 
 /// The lock and the critical section's data, on one cache line as in a
@@ -33,19 +42,37 @@ struct Arena<L> {
 }
 
 impl<L: RawLock> Arena<L> {
-    /// One acquire+release pair by thread `me` (non-zero); returns how many
+    /// The critical section of thread `me` (non-zero); returns how many
     /// exclusion violations it saw.
     #[inline]
-    fn pair(&self, me: u64) -> u64 {
-        self.lock.lock();
+    fn critical(&self, me: u64) -> u64 {
         let mut bad = u64::from(self.owner.load(Ordering::Relaxed) != 0);
         self.owner.store(me, Ordering::Relaxed);
         self.count
             .store(self.count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         bad += u64::from(self.owner.load(Ordering::Relaxed) != me);
         self.owner.store(0, Ordering::Relaxed);
-        // SAFETY: acquired above on this thread.
-        unsafe { self.lock.unlock() };
+        bad
+    }
+
+    /// [`BLOCK`] acquire+release pairs by thread `me`, timing every
+    /// [`SAMPLE_EVERY`]th acquisition into `waits`; returns the exclusion
+    /// violations seen.
+    #[inline]
+    fn block(&self, me: u64, waits: &mut [u64; SAMPLES]) -> u64 {
+        let mut bad = 0;
+        for i in 0..BLOCK {
+            if i % SAMPLE_EVERY == 0 {
+                let t0 = Instant::now();
+                self.lock.lock();
+                waits[(i / SAMPLE_EVERY) as usize] = t0.elapsed().as_nanos() as u64;
+            } else {
+                self.lock.lock();
+            }
+            bad += self.critical(me);
+            // SAFETY: acquired above on this thread.
+            unsafe { self.lock.unlock() };
+        }
         bad
     }
 }
@@ -56,41 +83,42 @@ struct WorkerOut {
     pairs: u64,
 }
 
+/// Returns `None` for a deployment that is only set up (already stopped).
 fn worker<L: RawLock>(
     arena: &Arena<L>,
     spawned: &Barrier,
     phase: &Phase,
     plan: &Plan,
     me: u64,
-) -> WorkerOut {
+) -> Option<WorkerOut> {
     spawned.wait();
+    if phase.stopped() {
+        return None;
+    }
     let (mut violations, mut warmup) = (0, 0);
+    let mut waits = [0; SAMPLES];
     let warm_until = Instant::now() + WARMUP;
     while Instant::now() < warm_until {
-        for _ in 0..BLOCK {
-            violations += arena.pair(me);
-        }
+        violations += arena.block(me, &mut waits);
         warmup += BLOCK;
     }
     let start = phase.enter();
     let mut tally = Tally::new(start, plan);
-    let mut last = Instant::now();
     while !phase.stopped() {
-        for _ in 0..BLOCK {
-            violations += arena.pair(me);
-        }
+        violations += arena.block(me, &mut waits);
         let now = Instant::now();
-        let per_pair = now.duration_since(last).as_nanos() as u64 / BLOCK;
-        tally.completed(BLOCK, now, per_pair, 1);
-        last = now;
+        tally.completed(BLOCK, now);
+        for &w in &waits {
+            tally.latency(now, w, 1);
+        }
     }
     tally.attempted = tally.ops;
     tally.verified = tally.ops;
-    WorkerOut {
+    Some(WorkerOut {
         pairs: warmup + tally.ops,
         tally,
         violations,
-    }
+    })
 }
 
 pub fn measure<L: RawLock>(plan: &Plan) -> Window {
@@ -99,8 +127,11 @@ pub fn measure<L: RawLock>(plan: &Plan) -> Window {
         let measured = rep == 0;
         let t0 = Instant::now();
         let arena = Arena::<L>::default();
-        let spawned = Barrier::new(THREADS);
+        let spawned = Barrier::new(THREADS + 1);
         let phase = Phase::new(THREADS);
+        if !measured {
+            phase.close();
+        }
         let outs: Vec<WorkerOut> = std::thread::scope(|s| {
             let handles: Vec<_> = (1..=THREADS as u64)
                 .map(|me| {
@@ -108,19 +139,20 @@ pub fn measure<L: RawLock>(plan: &Plan) -> Window {
                     s.spawn(move || worker(arena, spawned, phase, plan, me))
                 })
                 .collect();
-            phase.await_ready();
+            spawned.wait();
             w.setup_s.push(t0.elapsed().as_secs_f64());
-            let start = phase.open(measured);
             if measured {
+                phase.await_ready();
+                let start = phase.open(true);
                 timed::set_recording(plan.traced);
-                std::thread::sleep(plan.window);
+                w.host = Sampler::start(start, plan).finish();
                 phase.close();
                 timed::set_recording(false);
                 w.elapsed_s = start.elapsed().as_secs_f64();
             }
             handles
                 .into_iter()
-                .map(|h| h.join().expect("lock worker panicked"))
+                .filter_map(|h| h.join().expect("lock worker panicked"))
                 .collect()
         });
         if measured {
@@ -131,7 +163,6 @@ pub fn measure<L: RawLock>(plan: &Plan) -> Window {
                 w.absorb(o.tally);
             }
             w.failed += lost;
-            w.rss_peak_mb = procfs::peak_rss_mib();
         }
     }
     w.lock_bytes = L::META.footprint_bytes(1, THREADS) as f64;

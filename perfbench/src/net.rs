@@ -10,7 +10,7 @@
 //!   keys (they fit the memtable), 90% GET. Wake-up latency dominates.
 
 use crate::gen::{key_bytes, Batch, Expect, KeyDist, Keys, Rng, Versions};
-use crate::phase::{Plan, Tally, Window};
+use crate::phase::{Plan, Sampler, Tally, Window};
 use crate::procfs::{self, Task};
 use crate::spy::{CallStats, SpyKv};
 use crate::store::{db_lock_bytes, preload, StoreMark};
@@ -27,6 +27,9 @@ use std::time::Instant;
 
 pub const CONNS: usize = 2;
 pub const POOL_WORKERS: usize = 2;
+const READ_PCT: u64 = 90;
+/// Batches per connection before the window opens.
+const WARMUP_BATCHES: u64 = 2_000;
 
 /// The traffic one connection generates.
 #[derive(Clone, Copy, Debug)]
@@ -34,25 +37,18 @@ pub struct Shape {
     pub pipeline: usize,
     pub keys: u64,
     pub dist: KeyDist,
-    pub read_pct: u64,
-    /// Batches per connection before the window opens.
-    pub warmup_batches: u64,
 }
 
 pub const PIPELINED_HOT: Shape = Shape {
     pipeline: 8,
     keys: 65_536,
     dist: KeyDist::Zipf(0.99),
-    read_pct: 90,
-    warmup_batches: 2_000,
 };
 
 pub const UNPIPELINED: Shape = Shape {
     pipeline: 1,
     keys: 4_096,
     dist: KeyDist::Uniform,
-    read_pct: 90,
-    warmup_batches: 2_000,
 };
 
 /// One client connection and everything it needs to check its replies.
@@ -107,7 +103,7 @@ async fn drive(c: &mut Client, reactor: &Reactor, keys: &[Vec<u8>], shape: Shape
         batches += 1;
         let b = Batch::draw(
             shape.pipeline,
-            shape.read_pct,
+            READ_PCT,
             &c.sampler,
             &mut c.rng,
             &mut c.versions,
@@ -141,7 +137,8 @@ async fn drive(c: &mut Client, reactor: &Reactor, keys: &[Vec<u8>], shape: Shape
                 t.failed += failed;
                 t.verified += verified;
                 let rtt_ns = t1.duration_since(t0).as_nanos() as u64;
-                t.completed(n - failed, t1, rtt_ns, n);
+                t.completed(n - failed, t1);
+                t.latency(t1, rtt_ns, n);
             }
             None => c.failed += failed,
         }
@@ -263,7 +260,7 @@ pub fn measure<L: RawTryLock + 'static>(plan: &Plan, shape: Shape) -> Window {
         let t0 = Instant::now();
         let mut d = deploy::<L>(plan, shape, &keys, spy.as_ref());
         drive_all(&mut d.clients, &d.reactor, &keys, shape, || {
-            Until::Batches(shape.warmup_batches)
+            Until::Batches(WARMUP_BATCHES)
         });
         w.setup_s.push(t0.elapsed().as_secs_f64());
         if rep > 0 {
@@ -282,10 +279,12 @@ pub fn measure<L: RawTryLock + 'static>(plan: &Plan, shape: Shape) -> Window {
             c.tally = Some(Tally::new(start, plan));
         }
         let end = start + plan.window;
+        let sampler = Sampler::start(start, plan);
         drive_all(&mut d.clients, &d.reactor, &keys, shape, || {
             Until::Deadline(end)
         });
         w.elapsed_s = start.elapsed().as_secs_f64();
+        w.host = sampler.finish();
         timed::set_recording(false);
         if let Some(s) = &spy {
             s.set_recording(false);
@@ -336,7 +335,6 @@ pub fn measure<L: RawTryLock + 'static>(plan: &Plan, shape: Shape) -> Window {
             ]);
         }
         d.teardown();
-        w.rss_peak_mb = procfs::peak_rss_mib();
     }
     w
 }

@@ -1,4 +1,5 @@
-//! Per-thread CPU time and peak memory from `/proc/self` (Linux).
+//! Per-thread CPU time and peak memory from `/proc/self`, and the time
+//! the host took from this machine's CPUs from `/proc/stat` (Linux).
 
 use std::collections::BTreeMap;
 
@@ -86,4 +87,24 @@ pub fn peak_rss_mib() -> f64 {
             line.split_whitespace().nth(1)?.parse::<f64>().ok()
         })
         .map_or(0.0, |kib| kib / 1024.0)
+}
+
+/// `(steal, total)` clock ticks of all CPUs since boot. Steal is time the
+/// host ran something else while this machine's CPUs had work.
+pub fn steal_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let line = stat.lines().next()?.strip_prefix("cpu ")?;
+    let f: Vec<u64> = line
+        .split_whitespace()
+        .map(|v| v.parse().ok())
+        .collect::<Option<_>>()?;
+    // user nice system idle iowait irq softirq steal guest guest_nice;
+    // the guest times are already in user and nice.
+    Some((*f.get(7)?, f.iter().take(8).sum()))
+}
+
+/// The steal share of the CPUs' time between two [`steal_ticks`] readings.
+pub fn steal_share(before: Option<(u64, u64)>, after: Option<(u64, u64)>) -> Option<f64> {
+    let ((s0, t0), (s1, t1)) = (before?, after?);
+    (t1 > t0).then(|| (s1 - s0) as f64 / (t1 - t0) as f64)
 }

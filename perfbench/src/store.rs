@@ -10,8 +10,7 @@
 //! from run to run by up to 35%.
 
 use crate::gen::{key_bytes, value_bytes, Batch, Expect, KeyDist, Keys, Rng, Versions};
-use crate::phase::{Phase, Plan, Tally, Window};
-use crate::procfs;
+use crate::phase::{Phase, Plan, Sampler, Tally, Window};
 use crate::timed;
 use hemlock_core::raw::{RawLock, RawTryLock};
 use hemlock_minikv::{Db, KvOp, KvResult, Options};
@@ -105,7 +104,8 @@ fn worker<L: RawTryLock>(
         tally.failed += failed;
         tally.verified += verified;
         let call_ns = t1.duration_since(t0).as_nanos() as u64;
-        tally.completed(BATCH as u64 - failed, t1, call_ns, 1);
+        tally.completed(BATCH as u64 - failed, t1);
+        tally.latency(t1, call_ns, 1);
     }
     (tally, warmup_failed)
 }
@@ -187,7 +187,7 @@ pub fn measure<L: RawTryLock + 'static>(plan: &Plan) -> Window {
             let start = phase.open(measured);
             if measured {
                 timed::set_recording(plan.traced);
-                std::thread::sleep(plan.window);
+                w.host = Sampler::start(start, plan).finish();
                 phase.close();
                 timed::set_recording(false);
                 w.elapsed_s = start.elapsed().as_secs_f64();
@@ -205,7 +205,6 @@ pub fn measure<L: RawTryLock + 'static>(plan: &Plan) -> Window {
             continue;
         }
         w.failed += preload_failed;
-        w.rss_peak_mb = procfs::peak_rss_mib();
         w.lock_bytes = db_lock_bytes::<L>(db.memtable_shards(), THREADS);
         if plan.traced {
             w.layers = mark.layers_since(&db, w.ops(), w.elapsed_s);

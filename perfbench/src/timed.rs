@@ -4,7 +4,9 @@
 //!
 //! Counters live in one record per thread (registered on first use and
 //! summed by [`snapshot`]); they only move while [`set_recording`] is on,
-//! so set-up and warm-up acquisitions stay out of the window. Each record
+//! so set-up and warm-up acquisitions stay out of the window, and
+//! [`snapshot`] reports only what was counted since recording last
+//! started, so one run's counts never leak into the next. Each record
 //! has a single writer, so it is updated with plain loads and stores;
 //! times are read from the time-stamp counter, and only every
 //! [`TIME_EVERY`]th acquisition of a thread is timed. All three keep the
@@ -23,9 +25,17 @@ pub const TIME_EVERY: u64 = 8;
 static RECORDING: AtomicBool = AtomicBool::new(false);
 static THREADS: Mutex<Vec<Arc<ThreadCounters>>> = Mutex::new(Vec::new());
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
-/// `(ticks, instant)` when recording last started: the base from which
-/// [`snapshot`] converts ticks to nanoseconds.
-static CALIBRATION: Mutex<Option<(u64, Instant)>> = Mutex::new(None);
+/// Taken when recording last started.
+static MARK: Mutex<Option<Mark>> = Mutex::new(None);
+
+struct Mark {
+    /// `ticks()` and the clock at the mark: the base from which
+    /// [`snapshot`] converts ticks to nanoseconds.
+    ticks: u64,
+    at: Instant,
+    /// Every thread's counters at the mark, subtracted by [`snapshot`].
+    totals: CoreSummary,
+}
 
 #[derive(Default)]
 struct ThreadCounters {
@@ -74,9 +84,15 @@ fn ticks() -> u64 {
 }
 
 /// Turns counting on or off for every [`TimedLock`] in the process.
+/// Turning it on starts a new count.
 pub fn set_recording(on: bool) {
     if on {
-        *CALIBRATION.lock().expect("calibration") = Some((ticks(), Instant::now()));
+        // Recording is off, so the counters stand still while summed.
+        *MARK.lock().expect("timed-lock mark") = Some(Mark {
+            ticks: ticks(),
+            at: Instant::now(),
+            totals: totals(),
+        });
     }
     RECORDING.store(on, Ordering::SeqCst);
 }
@@ -85,7 +101,7 @@ fn recording() -> bool {
     RECORDING.load(Ordering::Relaxed)
 }
 
-/// Sums of every thread's counters.
+/// Sums of every thread's counters since recording last started.
 #[derive(Default)]
 pub struct CoreSummary {
     pub acquires: u64,
@@ -109,15 +125,9 @@ impl CoreSummary {
     }
 }
 
-pub fn snapshot() -> CoreSummary {
-    let ticks_per_ns = match *CALIBRATION.lock().expect("calibration") {
-        Some((t0, i0)) => (ticks() - t0) as f64 / i0.elapsed().as_nanos().max(1) as f64,
-        None => 1.0,
-    };
-    let mut s = CoreSummary {
-        ticks_per_ns,
-        ..CoreSummary::default()
-    };
+/// Every thread's counters summed, since the process started.
+fn totals() -> CoreSummary {
+    let mut s = CoreSummary::default();
     for t in THREADS.lock().expect("timed-lock registry").iter() {
         s.acquires += t.acquires.load(Ordering::Relaxed);
         s.same_owner += t.same_owner.load(Ordering::Relaxed);
@@ -125,6 +135,24 @@ pub fn snapshot() -> CoreSummary {
         s.try_fails += t.try_fails.load(Ordering::Relaxed);
         s.wait_ticks.merge(&t.wait.snapshot());
         s.hold_ticks.merge(&t.hold.snapshot());
+    }
+    s
+}
+
+/// What was counted since recording last started.
+pub fn snapshot() -> CoreSummary {
+    let mut s = totals();
+    if let Some(mark) = &*MARK.lock().expect("timed-lock mark") {
+        let t = &mark.totals;
+        s.acquires -= t.acquires;
+        s.same_owner -= t.same_owner;
+        s.try_attempts -= t.try_attempts;
+        s.try_fails -= t.try_fails;
+        s.wait_ticks.subtract(&t.wait_ticks);
+        s.hold_ticks.subtract(&t.hold_ticks);
+        s.ticks_per_ns = (ticks() - mark.ticks) as f64 / mark.at.elapsed().as_nanos().max(1) as f64;
+    } else {
+        s.ticks_per_ns = 1.0;
     }
     s
 }

@@ -1,6 +1,7 @@
 //! A short run of every workload, untraced and traced: each emits every
 //! metric of its kind, fails no operation, and actually checks values.
-//! One test function, because the layer counters are process-wide.
+//! One test function, because the layer counters are process-wide: it
+//! also checks that each traced run counts only its own acquisitions.
 
 use perfbench::{run, Outcome, Workload, END_TO_END, PER_LAYER};
 
@@ -71,6 +72,15 @@ fn every_workload_emits_its_metrics_and_fails_nothing() {
             }
         }
     }
+
+    // One acquisition per op, counted from the window only: a lock-handoff
+    // run after all the others must not see their acquisitions.
+    let last = run(Workload::LockHandoff, 7, 0.8, true);
+    let per_op = last.get("core.acquires_per_op").expect("listed metric");
+    assert!(
+        (0.9..=1.0).contains(&per_op),
+        "lock-handoff after the other workloads: {per_op} acquisitions per op"
+    );
 }
 
 /// BENCHMARK.json (at the repository root) lists exactly these

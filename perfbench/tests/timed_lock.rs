@@ -9,6 +9,8 @@ use std::sync::Barrier;
 
 const THREADS: u64 = 4;
 const PAIRS: u64 = 20_000;
+/// A multiple of `timed::TIME_EVERY`, so holds are timed.
+const TIMED_PAIRS: u64 = 64;
 
 #[test]
 fn timed_lock_keeps_mutual_exclusion_and_counts_every_acquisition() {
@@ -51,4 +53,24 @@ fn timed_lock_keeps_mutual_exclusion_and_counts_every_acquisition() {
     assert_eq!((s.try_attempts, s.try_fails), (2, 1));
     assert!(s.same_owner <= s.acquires);
     assert!(s.hold_ns(0.5) > 0.0, "sampled holds were timed");
+
+    // A new recording starts from zero: nothing of the one above remains.
+    timed::set_recording(true);
+    let fresh = timed::snapshot();
+    assert_eq!(
+        (fresh.acquires, fresh.try_attempts, fresh.same_owner),
+        (0, 0, 0)
+    );
+    assert_eq!(fresh.hold_ns(0.5), 0.0);
+    for _ in 0..TIMED_PAIRS {
+        lock.lock();
+        // SAFETY: acquired above on this thread.
+        unsafe { lock.unlock() };
+    }
+    timed::set_recording(false);
+    let again = timed::snapshot();
+    assert_eq!(again.acquires, TIMED_PAIRS);
+    // This thread also made the last acquisition of the recording above.
+    assert_eq!(again.same_owner, TIMED_PAIRS);
+    assert!(again.hold_ns(0.5) > 0.0);
 }
