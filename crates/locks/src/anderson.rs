@@ -145,7 +145,12 @@ mod tests {
                 unsafe { l.unlock() };
             })
         };
-        // Holder plus a (soon-)queued waiter: the hint must say engaged
+        // Wait until the waiter has taken its ticket (ours was 0, its is 1):
+        // unlocking earlier would free the lock for real.
+        while l.tail.load(std::sync::atomic::Ordering::Acquire) < 2 {
+            std::hint::spin_loop();
+        }
+        // Holder plus a queued waiter: the hint must say engaged
         // throughout, including right after ownership transfers.
         assert_eq!(l.is_locked_hint(), Some(true));
         unsafe { l.unlock() };
