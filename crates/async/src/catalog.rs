@@ -1,153 +1,35 @@
-//! The asynchronous lock catalog: `async.*` keys.
+//! The async view of the lock catalog: `async.*` keys.
 //!
-//! Every **asyncable** entry of the exclusive catalog
-//! (`hemlock_locks::catalog`, [`LockMeta::asyncable`] — in practice the
-//! abortable subset) gains an asynchronous counterpart here under the same
-//! key with an `async.` prefix: `"async.hemlock"`, `"async.mcs"`,
-//! `"async.ticket"`, …. Each entry builds a [`DynAsyncLock`] handle — a
-//! waker-parking queue guarded by that algorithm — for the
-//! runtime-selection layer ([`DynAsyncMutex`]), and
-//! [`with_async_lock_type`] offers the usual zero-cost static dispatch for
-//! benchmark loops (`asyncbench`).
+//! `hemlock_locks::catalog` is the only lock registry. Its [`View::Async`]
+//! holds the rows whose [`LockMeta::asyncable`](hemlock_core::LockMeta)
+//! bit is set — in practice the abortable subset — under their key with an
+//! `async.` prefix: `"async.hemlock"`, `"async.mcs"`, `"async.ticket"`, ….
+//! This module re-exports that catalog, so crates that reach it only
+//! through this one (`hemlock-net`'s `kvserver`) resolve names the same
+//! way, and adds the [`DynAsyncLock`] factories: a waker queue guarded by
+//! the entry's lock, built through [`with_timed_lock_type`].
 //!
 //! CLH and Anderson have **no** `async.*` entry, for the same reason they
 //! have no timed path: a waiter that cannot withdraw cannot back a
 //! cancel-safe future, and a guard whose unlock is a commitment has no
-//! business under a queue that must stay cheap to abort. The conformance
-//! suite asserts the `async.*` key set equals the abortable subset
-//! exactly.
+//! business under a queue that must stay cheap to abort.
+
+pub use hemlock_locks::catalog::*;
 
 use crate::dynasync::{boxed_async, DynAsyncLock, DynAsyncMutex};
-use hemlock_core::meta::LockMeta;
-use hemlock_core::raw::{RawLock, RawTryLock};
+use hemlock_core::raw::RawTryLock;
 
-/// Re-exports of every type the [`for_each_async_lock!`](crate::for_each_async_lock)
-/// expansion names, so callers need no direct dependency on `hemlock-core`
-/// / `hemlock-locks`.
-pub mod types {
-    pub use hemlock_core::hemlock::{
-        Hemlock, HemlockAh, HemlockChain, HemlockInstrumented, HemlockNaive, HemlockOverlap,
-        HemlockParking, HemlockV1, HemlockV2,
-    };
-    pub use hemlock_locks::{McsLock, TasLock, TicketLock, TtasLock};
-    pub use hemlock_obs::ObservedHemlock;
-}
-
-/// Invokes a callback macro with the full async catalog: a comma-separated
-/// list of `(key, [aliases…], Type)` tuples — the asyncable (= abortable)
-/// subset of the exclusive catalog, each key prefixed `async.`. This is
-/// the single source of truth for the `async.*` entries; the entry table,
-/// the static dispatcher, and the conformance suite are generated from it.
-#[macro_export]
-macro_rules! for_each_async_lock {
-    ($cb:path) => {
-        $cb! {
-            ("async.hemlock", ["async.hemlock.ctr"], $crate::catalog::types::Hemlock),
-            ("async.hemlock.naive", [], $crate::catalog::types::HemlockNaive),
-            ("async.hemlock.overlap", [], $crate::catalog::types::HemlockOverlap),
-            ("async.hemlock.ah", [], $crate::catalog::types::HemlockAh),
-            ("async.hemlock.v1", [], $crate::catalog::types::HemlockV1),
-            ("async.hemlock.v2", [], $crate::catalog::types::HemlockV2),
-            ("async.hemlock.parking", [], $crate::catalog::types::HemlockParking),
-            ("async.hemlock.chain", [], $crate::catalog::types::HemlockChain),
-            ("async.hemlock.instr", [], $crate::catalog::types::HemlockInstrumented),
-            ("async.obs.hemlock", ["async.hemlock.obs"], $crate::catalog::types::ObservedHemlock),
-            ("async.mcs", [], $crate::catalog::types::McsLock),
-            ("async.ticket", [], $crate::catalog::types::TicketLock),
-            ("async.tas", [], $crate::catalog::types::TasLock),
-            ("async.ttas", [], $crate::catalog::types::TtasLock),
-        }
-    };
-}
-
-/// One async catalog entry: a stable key, spelling aliases, the guard
-/// algorithm's metadata, and a factory for runtime async-lock handles.
-#[derive(Debug)]
-pub struct AsyncCatalogEntry {
-    /// Canonical selector key (`--lock` spelling), e.g. `"async.hemlock"`.
-    pub key: &'static str,
-    /// Alternate accepted spellings.
-    pub aliases: &'static [&'static str],
-    /// The guard algorithm's descriptor (identical to the static type's
-    /// `META`; an `AsyncMutex` over Hemlock is still the Hemlock
-    /// algorithm, so the display name is not patched).
-    pub meta: LockMeta,
-    /// Builds a fresh, idle, type-erased waker queue on this algorithm.
-    pub make: fn() -> Box<dyn DynAsyncLock>,
-}
-
-impl AsyncCatalogEntry {
-    /// True when `name` selects this entry: matches the key or an alias,
-    /// ASCII-case-insensitively. (Display names are *not* matched here —
-    /// they belong to the exclusive catalog's entries.)
-    pub fn matches(&self, name: &str) -> bool {
-        self.key.eq_ignore_ascii_case(name)
-            || self.aliases.iter().any(|a| a.eq_ignore_ascii_case(name))
-    }
-}
-
-macro_rules! gen_async_entries {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty)),+ $(,)?) => {
-        /// Every asynchronous lock entry, in catalog order (the Hemlock
-        /// family first, then the asyncable baselines).
-        pub static ENTRIES: &[AsyncCatalogEntry] = &[
-            $(AsyncCatalogEntry {
-                key: $key,
-                aliases: &[$($alias),*],
-                meta: <$ty as RawLock>::META,
-                make: boxed_async::<$ty>,
-            }),+
-        ];
-    };
-}
-for_each_async_lock!(gen_async_entries);
-
-/// Looks up one entry by key or alias (case-insensitive).
-pub fn find(name: &str) -> Option<&'static AsyncCatalogEntry> {
-    ENTRIES.iter().find(|e| e.matches(name.trim()))
-}
-
-/// Resolves a comma-separated selector list (the `--lock` argument) to
-/// async entries, preserving order and rejecting unknown or duplicate
-/// names with a message that lists the valid keys.
-pub fn resolve_list(list: &str) -> Result<Vec<&'static AsyncCatalogEntry>, String> {
-    let mut out: Vec<&'static AsyncCatalogEntry> = Vec::new();
-    for name in list.split(',') {
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(format!(
-                "empty lock name in {list:?}; expected a comma-separated subset of: {}",
-                keys().join(", ")
-            ));
-        }
-        let entry = find(name).ok_or_else(|| {
-            format!(
-                "unknown async lock {name:?}; known async locks: {}",
-                keys().join(", ")
-            )
-        })?;
-        if out.iter().any(|e| core::ptr::eq(*e, entry)) {
-            return Err(format!("lock {name:?} selected twice in {list:?}"));
-        }
-        out.push(entry);
-    }
-    Ok(out)
-}
-
-/// All canonical async keys, in catalog order.
-pub fn keys() -> Vec<&'static str> {
-    ENTRIES.iter().map(|e| e.key).collect()
-}
-
-/// Builds a runtime async-lock handle for `name`.
+/// Builds a runtime async-lock handle for the `async.*` name `name`.
 pub fn dyn_async_lock(name: &str) -> Result<Box<dyn DynAsyncLock>, String> {
-    let entry = find(name).ok_or_else(|| {
-        format!(
-            "unknown async lock {name:?}; known async locks: {}",
-            keys().join(", ")
-        )
-    })?;
-    Ok((entry.make)())
+    struct Queue;
+    impl TimedLockVisitor for Queue {
+        type Output = Box<dyn DynAsyncLock>;
+        fn visit<L: RawTryLock + 'static>(self, _: &'static CatalogEntry) -> Self::Output {
+            boxed_async::<L>()
+        }
+    }
+    let entry = lookup(View::Async, name)?;
+    Ok(with_timed_lock_type(entry, Queue).expect("async entries are trylock-capable"))
 }
 
 /// Builds a [`DynAsyncMutex`] protecting `value` with the algorithm
@@ -156,59 +38,14 @@ pub fn dyn_async_mutex<T>(name: &str, value: T) -> Result<DynAsyncMutex<T>, Stri
     Ok(DynAsyncMutex::new(dyn_async_lock(name)?, value))
 }
 
-/// A generic computation instantiated per statically-dispatched queue-guard
-/// type — the visitor side of [`with_async_lock_type`]. The `RawTryLock`
-/// bound gives the visitor's body `AsyncMutex<T, L>` / `WakerQueue<L>` at
-/// zero dispatch cost, which is how `asyncbench` keeps its measurement
-/// loop monomorphized.
-pub trait AsyncLockVisitor {
-    /// Result produced per lock type.
-    type Output;
-    /// Runs the computation with the chosen guard algorithm as `L`.
-    fn visit<L: RawTryLock + 'static>(self, entry: &'static AsyncCatalogEntry) -> Self::Output;
-}
-
-macro_rules! gen_async_dispatch {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty)),+ $(,)?) => {
-        /// Statically dispatches `visitor` on the async entry selected by
-        /// `name`: the visitor's generic `visit` is monomorphized for the
-        /// matching guard type. Returns `None` for unknown names.
-        pub fn with_async_lock_type<V: AsyncLockVisitor>(name: &str, visitor: V) -> Option<V::Output> {
-            let entry = find(name)?;
-            match entry.key {
-                $($key => Some(visitor.visit::<$ty>(entry)),)+
-                _ => unreachable!("async catalog key missing from dispatch table"),
-            }
-        }
-    };
-}
-for_each_async_lock!(gen_async_dispatch);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hemlock_harness::executor::block_on;
 
     #[test]
-    fn async_keys_are_exactly_the_abortable_subset() {
-        let abortable = hemlock_locks::catalog::abortable();
-        assert_eq!(ENTRIES.len(), abortable.len());
-        for entry in &abortable {
-            let async_key = format!("async.{}", entry.key);
-            let found = find(&async_key)
-                .unwrap_or_else(|| panic!("no async counterpart for abortable key {}", entry.key));
-            assert_eq!(found.meta, entry.meta, "{async_key}");
-            assert!(found.meta.asyncable, "{async_key}");
-            assert!(found.meta.abortable, "{async_key}");
-        }
-        // The unwithdrawable entries stay out.
-        assert!(find("async.clh").is_none());
-        assert!(find("async.anderson").is_none());
-    }
-
-    #[test]
     fn asyncable_equals_abortable_across_the_exclusive_catalog() {
-        for entry in hemlock_locks::catalog::ENTRIES {
+        for entry in entries(View::Lock) {
             assert_eq!(
                 entry.meta.asyncable, entry.meta.abortable,
                 "{}: asyncable must equal abortable",
@@ -219,17 +56,31 @@ mod tests {
 
     #[test]
     fn finds_by_key_and_alias_case_insensitively() {
-        assert_eq!(find("async.hemlock").unwrap().meta.name, "Hemlock");
-        assert_eq!(find("ASYNC.HEMLOCK.CTR").unwrap().key, "async.hemlock");
-        assert_eq!(find("async.mcs").unwrap().meta.name, "MCS");
-        assert!(find("hemlock").is_none(), "exclusive keys stay out");
-        assert!(find("nope").is_none());
+        assert_eq!(
+            find(View::Async, "async.hemlock").unwrap().meta.name,
+            "Hemlock"
+        );
+        assert_eq!(
+            find(View::Async, "ASYNC.HEMLOCK.CTR").unwrap().key,
+            "async.hemlock"
+        );
+        assert_eq!(find(View::Async, "async.mcs").unwrap().meta.name, "MCS");
+        assert!(
+            find(View::Async, "hemlock").is_none(),
+            "exclusive keys stay out"
+        );
+        assert!(find(View::Async, "MCS").is_none(), "display names stay out");
+        assert!(
+            find(View::Async, "async.clh").is_none(),
+            "CLH cannot withdraw"
+        );
+        assert!(find(View::Async, "nope").is_none());
     }
 
     #[test]
     fn every_entry_builds_a_working_dyn_async_lock() {
-        for entry in ENTRIES {
-            let lock = (entry.make)();
+        for entry in entries(View::Async) {
+            let lock = dyn_async_lock(entry.key).unwrap();
             assert_eq!(lock.meta(), entry.meta, "{}", entry.key);
             assert!(lock.is_idle(), "{}", entry.key);
             assert!(lock.try_acquire(true), "{}", entry.key);
@@ -242,18 +93,18 @@ mod tests {
 
     #[test]
     fn resolve_list_preserves_order_and_reports_errors() {
-        let picked = resolve_list("async.mcs, async.hemlock").unwrap();
+        let picked = resolve_list(View::Async, "async.mcs, async.hemlock").unwrap();
         assert_eq!(
             picked.iter().map(|e| e.key).collect::<Vec<_>>(),
             ["async.mcs", "async.hemlock"]
         );
-        assert!(resolve_list("async.mcs,bogus")
+        assert!(resolve_list(View::Async, "async.mcs,bogus")
             .unwrap_err()
-            .contains("known async locks"));
-        assert!(resolve_list("async.mcs,,async.tas")
+            .contains("known async locks: async.hemlock,"));
+        assert!(resolve_list(View::Async, "async.mcs,,async.tas")
             .unwrap_err()
             .contains("empty lock name"));
-        assert!(resolve_list("async.mcs,ASYNC.MCS")
+        assert!(resolve_list(View::Async, "async.mcs,ASYNC.MCS")
             .unwrap_err()
             .contains("twice"));
     }
@@ -267,31 +118,29 @@ mod tests {
         assert_eq!(block_on(async { *m.lock().await }), 42);
         assert_eq!(m.meta().name, "Ticket");
         assert!(dyn_async_mutex("bogus", 0).is_err());
+        assert!(dyn_async_mutex("ticket", 0).is_err());
     }
 
     #[test]
     fn static_dispatch_reaches_the_right_type() {
         struct NameOf;
-        impl AsyncLockVisitor for NameOf {
+        impl TimedLockVisitor for NameOf {
             type Output = &'static str;
-            fn visit<L: RawTryLock + 'static>(
-                self,
-                entry: &'static AsyncCatalogEntry,
-            ) -> Self::Output {
+            fn visit<L: RawTryLock + 'static>(self, entry: &'static CatalogEntry) -> Self::Output {
                 assert_eq!(L::META, entry.meta);
                 L::META.name
             }
         }
-        assert_eq!(with_async_lock_type("async.mcs", NameOf), Some("MCS"));
-        assert!(with_async_lock_type("mcs", NameOf).is_none());
-        assert!(with_async_lock_type("bogus", NameOf).is_none());
+        let entry = find(View::Async, "async.mcs").unwrap();
+        assert_eq!(with_timed_lock_type(entry, NameOf), Some("MCS"));
     }
 
     #[test]
     fn keys_are_unique_and_prefixed() {
-        let keys = keys();
-        assert_eq!(keys.len(), ENTRIES.len());
+        let keys = keys(View::Async);
+        assert_eq!(keys.len(), entries(View::Async).count());
         assert!(keys.iter().all(|k| k.starts_with("async.")));
+        assert!(entries(View::Async).all(|e| e.meta.asyncable));
         let mut dedup = keys.clone();
         dedup.sort_unstable();
         dedup.dedup();

@@ -6,9 +6,9 @@
 //! subsystem. Object safety falls out of the queue design for free: the
 //! waiting state lives in the shared [`WaitNode`], so every operation is a
 //! plain method taking `&self` — no generic futures in the trait, no boxed
-//! futures per poll. The `async.*` catalog ([`crate::catalog`]) builds
-//! `Box<dyn DynAsyncLock>` handles from string keys exactly as the
-//! exclusive catalog builds `Box<dyn DynLock>`.
+//! futures per poll. [`crate::catalog::dyn_async_lock`] builds
+//! `Box<dyn DynAsyncLock>` handles from `async.*` keys exactly as the lock
+//! catalog builds `Box<dyn DynLock>` from the others.
 
 use crate::queue::{WaitNode, WakerQueue};
 use core::cell::UnsafeCell;

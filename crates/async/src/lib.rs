@@ -38,8 +38,8 @@
 //!   typed guard APIs (guards are `Send`: release is thread-agnostic);
 //! - [`dynasync`] — the object-safe [`DynAsyncLock`] /
 //!   [`DynAsyncMutex`] runtime-selection layer;
-//! - [`catalog`] — the `async.*` registry (`for_each_async_lock!`), with
-//!   dynamic and static dispatch;
+//! - [`catalog`] — the `async.*` view of `hemlock_locks::catalog`, plus
+//!   the [`DynAsyncLock`] factories built through its dispatcher;
 //! - [`wakerset`] — [`WakerSet`], the notify-on-release eventcount that
 //!   lets *synchronous* locks (the sharded table's shards, minikv's
 //!   central mutex) serve asynchronous waiters without lost wakeups

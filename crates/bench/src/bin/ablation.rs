@@ -88,14 +88,13 @@ fn main() {
     ]);
     for entry in &locks {
         let r = catalog::with_lock_type(
-            entry.key,
+            entry,
             Measure {
                 threads,
                 duration,
                 runs,
             },
-        )
-        .expect("catalog entry key always dispatches");
+        );
         // Simulated coherence cost per contended pair, where modeled.
         let sim = match sim_flavor_for(entry) {
             Some(flavor) => fmt_f64(

@@ -14,10 +14,11 @@
 //!   (computed through the same histogram). Direct FIFO hand-off should
 //!   keep this close to 1; a barging design would starve parked tasks.
 //!
-//! Locks resolve against the **`async.*` catalog**
-//! (`hemlock_async::catalog`) — the asyncable (= abortable) subset; the
+//! Locks resolve against the catalog's **`async.*` view**
+//! (`hemlock_locks::catalog`, `View::Async`) — the asyncable (= abortable)
+//! rows; the
 //! measurement loop is monomorphized per guard algorithm through
-//! `catalog::with_async_lock_type`, so runtime selection costs nothing.
+//! `catalog::with_timed_lock_type`, so runtime selection costs nothing.
 //!
 //! Output: aligned table (default), `--csv`, or `--json` (normalized
 //! bench-trajectory records with `wakeup_p99_ns` / `fairness_spread`
@@ -25,7 +26,6 @@
 //! ignored by its parser, so the gate sees only the throughput). Banners
 //! and progress go to stderr so stdout stays machine-readable.
 
-use hemlock_async::catalog::{self, AsyncCatalogEntry, AsyncLockVisitor};
 use hemlock_async::AsyncMutex;
 use hemlock_bench::ci::{self, Record, RecordBuilder};
 use hemlock_bench::Sweep;
@@ -33,6 +33,7 @@ use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawTryLock;
 use hemlock_harness::executor::{yield_now, TaskPool};
 use hemlock_harness::{fmt_f64, Histogram, Spec, Table};
+use hemlock_locks::catalog::{self, CatalogEntry, TimedLockVisitor, View};
 use hemlock_obs::Pcts;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -121,9 +122,9 @@ struct AsyncSweep<'a> {
     tasks: &'a [usize],
 }
 
-impl AsyncLockVisitor for AsyncSweep<'_> {
+impl TimedLockVisitor for AsyncSweep<'_> {
     type Output = Vec<Row>;
-    fn visit<L: RawTryLock + 'static>(self, entry: &'static AsyncCatalogEntry) -> Vec<Row> {
+    fn visit<L: RawTryLock + 'static>(self, entry: &'static CatalogEntry) -> Vec<Row> {
         let mut rows = Vec::new();
         for &tasks in self.tasks {
             for &workers in &self.sweep.threads {
@@ -213,7 +214,7 @@ fn main() {
     let args = spec.parse_env();
 
     let quick = args.has("quick");
-    let default_locks = catalog::keys().join(",");
+    let default_locks = catalog::keys(View::Async).join(",");
     let lock_list = args.get_str(
         "lock",
         if quick {
@@ -222,7 +223,7 @@ fn main() {
             &default_locks
         },
     );
-    let entries = or_exit(catalog::resolve_list(&lock_list));
+    let entries = or_exit(catalog::resolve_list(View::Async, &lock_list));
 
     let mut sweep = Sweep::from_args(&args);
     sweep.threads = or_exit(args.get_list("threads", &sweep.threads));
@@ -237,14 +238,14 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for entry in &entries {
-        let visited = catalog::with_async_lock_type(
-            entry.key,
+        let visited = catalog::with_timed_lock_type(
+            entry,
             AsyncSweep {
                 sweep: &sweep,
                 tasks: &tasks,
             },
         )
-        .expect("async catalog entries always dispatch");
+        .expect("async entries are trylock-capable");
         rows.extend(visited);
     }
 

@@ -63,14 +63,13 @@ fn main() {
     ]);
     for entry in &locks {
         catalog::with_lock_type(
-            entry.key,
+            entry,
             Row {
                 threads,
                 duration,
                 table: &mut t,
             },
-        )
-        .expect("catalog entry key always dispatches");
+        );
     }
     print!(
         "{}",

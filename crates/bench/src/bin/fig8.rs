@@ -60,13 +60,12 @@ fn main() {
         .iter()
         .map(|e| {
             let series = catalog::with_lock_type(
-                e.key,
+                e,
                 ReadRandomSeries {
                     sweep: &sweep,
                     entries,
                 },
-            )
-            .expect("catalog entry key always dispatches");
+            );
             (e.meta.name, series)
         })
         .collect();

@@ -58,13 +58,12 @@ fn main() {
         .iter()
         .map(|e| {
             let s = catalog::with_lock_type(
-                e.key,
+                e,
                 MultiwaitSeries {
                     sweep: &sweep,
                     locks,
                 },
-            )
-            .expect("catalog entry key always dispatches");
+            );
             (e.meta.name, s)
         })
         .collect();

@@ -49,11 +49,11 @@
 //! `--addr`, start the remote `kvserver` with its own `--trace N`; the
 //! fetch-and-decompose path works the same.
 
-use hemlock_async::catalog::{self, AsyncCatalogEntry, AsyncLockVisitor};
 use hemlock_bench::ci::{self, RecordBuilder};
 use hemlock_core::raw::RawTryLock;
 use hemlock_harness::executor::TaskPool;
 use hemlock_harness::{fmt_f64, Histogram, Mt19937, Reactor, Spec, Table, Zipf};
+use hemlock_locks::catalog::{self, CatalogEntry, TimedLockVisitor, View};
 use hemlock_minikv::{AsyncKv, Db, Options};
 use hemlock_net::{spawn_server_with, AsyncConn, Client, Op, ServerHandle, ServerOptions};
 use hemlock_obs::{trace, Pcts, Snapshot};
@@ -206,9 +206,9 @@ struct SpawnInProc {
     opts: ServerOptions,
 }
 
-impl AsyncLockVisitor for SpawnInProc {
+impl TimedLockVisitor for SpawnInProc {
     type Output = std::io::Result<ServerHandle>;
-    fn visit<L: RawTryLock + 'static>(self, _entry: &'static AsyncCatalogEntry) -> Self::Output {
+    fn visit<L: RawTryLock + 'static>(self, _entry: &'static CatalogEntry) -> Self::Output {
         let kv: Arc<dyn AsyncKv> = Arc::new(Db::<L>::new(Options::default())).into_async_kv();
         spawn_server_with(&self.pool, kv, "127.0.0.1:0".parse().unwrap(), self.opts)
     }
@@ -457,22 +457,17 @@ fn main() {
     let (addr, lock_name, server) = match or_exit(args.addr()) {
         Some(addr) => (addr, lock_key.clone(), None),
         None => {
-            let entry = catalog::find(&lock_key).unwrap_or_else(|| {
-                or_exit::<&AsyncCatalogEntry>(Err(format!(
-                    "unknown async lock {lock_key:?}; known async locks: {}",
-                    catalog::keys().join(", ")
-                )))
-            });
+            let entry = or_exit(catalog::lookup(View::Async, &lock_key));
             let server_pool = Arc::new(TaskPool::new(args.get("server-threads", 4usize).max(1)));
             let server = or_exit(
-                catalog::with_async_lock_type(
-                    entry.key,
+                catalog::with_timed_lock_type(
+                    entry,
                     SpawnInProc {
                         pool: Arc::clone(&server_pool),
                         opts: ServerOptions { combine },
                     },
                 )
-                .expect("async catalog entries always dispatch")
+                .expect("async entries are trylock-capable")
                 .map_err(|e| format!("cannot spawn in-process server: {e}")),
             );
             // The pool must outlive the server; stash it via a leak-free

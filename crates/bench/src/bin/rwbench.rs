@@ -2,12 +2,12 @@
 //!
 //! The experiment the RW subsystem exists for: sweep **read fraction ×
 //! thread count** over one maximally contended lock and compare the `rw.*`
-//! catalog (readers admitted concurrently) against the exclusive catalog
-//! (readers serialize behind the single holder). Lock names resolve
-//! against *both* registries — `--lock hemlock,rw.hemlock` runs the same
-//! measurement loop through `catalog::with_lock_type` and
-//! `hemlock_rw::catalog::with_rw_lock_type` respectively, so the only
-//! difference between a pair of rows is whether `read_lock` shares.
+//! twins (readers admitted concurrently) against the exclusive locks
+//! (readers serialize behind the single holder). Lock names resolve in
+//! the catalog's `rw.*` view, then its exclusive one — `--lock
+//! hemlock,rw.hemlock` runs the same measurement loop through
+//! `catalog::with_lock_type` for both, so the only difference between a
+//! pair of rows is whether `read_lock` shares.
 //!
 //! Each operation takes the lock (read mode for reads, write mode for
 //! writes) around a touch of one slot in a shared array. At high read
@@ -25,7 +25,7 @@ use hemlock_core::meta::LockMeta;
 use hemlock_core::pad::CachePadded;
 use hemlock_core::raw::{RawLock, RawTryLock};
 use hemlock_harness::{fmt_f64, Spec, Table};
-use hemlock_rw::catalog as rw_catalog;
+use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor, TimedLockVisitor, View};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -173,9 +173,10 @@ struct RwSweep<'a> {
     keys: u64,
 }
 
-impl rw_catalog::RwLockVisitor for RwSweep<'_> {
+impl LockVisitor for RwSweep<'_> {
     type Output = Vec<Row>;
-    fn visit<L: RawLock + 'static>(self, meta: LockMeta) -> Vec<Row> {
+    fn visit<L: RawLock + 'static>(self, entry: &'static CatalogEntry) -> Vec<Row> {
+        let meta = entry.meta;
         self.sweep
             .threads
             .iter()
@@ -209,9 +210,9 @@ impl rw_catalog::RwLockVisitor for RwSweep<'_> {
     }
 }
 
-/// The `--timeout` counterpart of [`RwSweep`]: dispatched through the
-/// timed registries (`with_any_timed_lock_type`), so the monomorphized
-/// loop gets `try_lock_for`/`try_read_lock_for` at zero dispatch cost.
+/// The `--timeout` counterpart of [`RwSweep`]: dispatched through
+/// `with_timed_lock_type`, so the monomorphized loop gets
+/// `try_lock_for`/`try_read_lock_for` at zero dispatch cost.
 struct TimedRwSweep<'a> {
     sweep: &'a Sweep,
     read_pct: u64,
@@ -219,9 +220,10 @@ struct TimedRwSweep<'a> {
     timeout: Duration,
 }
 
-impl rw_catalog::TimedRwLockVisitor for TimedRwSweep<'_> {
+impl TimedLockVisitor for TimedRwSweep<'_> {
     type Output = Vec<Row>;
-    fn visit<L: RawTryLock + 'static>(self, meta: LockMeta) -> Vec<Row> {
+    fn visit<L: RawTryLock + 'static>(self, entry: &'static CatalogEntry) -> Vec<Row> {
+        let meta = entry.meta;
         self.sweep
             .threads
             .iter()
@@ -297,23 +299,35 @@ fn main() {
 
     let quick = args.has("quick");
     let lock_list = args.get_str("lock", "hemlock,rw.hemlock,mcs,rw.mcs");
-    let names: Vec<String> = lock_list.split(',').map(|n| n.trim().to_string()).collect();
+    // `rwbench` takes the `rw.*` twins next to the exclusive names.
+    let known = || {
+        [View::Lock, View::Rw]
+            .map(catalog::keys)
+            .concat()
+            .join(", ")
+    };
     // Validate the whole selection before any measurement runs, so a typo
     // at the end of the list fails fast instead of after minutes of sweep.
-    for name in &names {
-        if name.is_empty() {
-            or_exit::<()>(Err(format!(
-                "empty lock name in {lock_list:?}; known locks: {}",
-                rw_catalog::all_keys().join(", ")
-            )));
-        }
-        if rw_catalog::find(name).is_none() && hemlock_locks::catalog::find(name).is_none() {
-            or_exit::<()>(Err(format!(
-                "unknown lock {name:?}; known locks: {}",
-                rw_catalog::all_keys().join(", ")
-            )));
-        }
-    }
+    let entries: Vec<&'static CatalogEntry> = lock_list
+        .split(',')
+        .map(str::trim)
+        .map(|name| {
+            if name.is_empty() {
+                or_exit::<()>(Err(format!(
+                    "empty lock name in {lock_list:?}; known locks: {}",
+                    known()
+                )));
+            }
+            catalog::find(View::Rw, name)
+                .or_else(|| catalog::find(View::Lock, name))
+                .unwrap_or_else(|| {
+                    or_exit(Err(format!(
+                        "unknown lock {name:?}; known locks: {}",
+                        known()
+                    )))
+                })
+        })
+        .collect();
     let mut sweep = Sweep::from_args(&args);
     sweep.threads = or_exit(args.get_list("threads", &sweep.threads));
     let read_pcts: Vec<u64> = or_exit(args.get_list(
@@ -331,15 +345,12 @@ fn main() {
     if timeout.is_some() {
         // Timed mode needs an abortable path on every selected lock —
         // refuse up front rather than silently measuring something else.
-        for name in &names {
-            let abortable = rw_catalog::find(name)
-                .map(|e| e.meta.abortable)
-                .or_else(|| hemlock_locks::catalog::find(name).map(|e| e.meta.abortable))
-                .unwrap_or(false);
-            if !abortable {
+        for entry in &entries {
+            if !entry.meta.abortable {
                 or_exit::<()>(Err(format!(
-                    "--timeout requires abortable locks, but {name:?} reports abortable: false \
-                     (its waiters cannot withdraw)"
+                    "--timeout requires abortable locks, but {:?} reports abortable: false \
+                     (its waiters cannot withdraw)",
+                    entry.key
                 )));
             }
         }
@@ -352,20 +363,21 @@ fn main() {
     );
 
     let mut rows: Vec<Row> = Vec::new();
-    for name in &names {
+    for &entry in &entries {
         for &read_pct in &read_pcts {
             let visited = match timeout {
-                Some(budget) => rw_catalog::with_any_timed_lock_type(
-                    name,
+                Some(budget) => catalog::with_timed_lock_type(
+                    entry,
                     TimedRwSweep {
                         sweep: &sweep,
                         read_pct,
                         keys,
                         timeout: budget,
                     },
-                ),
-                None => rw_catalog::with_any_lock_type(
-                    name,
+                )
+                .expect("abortable entries are trylock-capable"),
+                None => catalog::with_lock_type(
+                    entry,
                     RwSweep {
                         sweep: &sweep,
                         read_pct,
@@ -373,13 +385,7 @@ fn main() {
                     },
                 ),
             };
-            match visited {
-                Some(v) => rows.extend(v),
-                None => or_exit::<()>(Err(format!(
-                    "unknown lock {name:?}; known locks: {}",
-                    rw_catalog::all_keys().join(", ")
-                ))),
-            }
+            rows.extend(visited);
         }
     }
 

@@ -68,15 +68,14 @@ fn main() {
             || {}
         };
         let result = catalog::with_lock_type(
-            entry.key,
+            entry,
             KvRun {
                 entries,
                 threads,
                 duration,
                 before_read,
             },
-        )
-        .expect("catalog entry key always dispatches");
+        );
         eprintln!(
             "# [{}] {} reads across {threads} threads in {:?} ({:.0} ops/s)",
             entry.meta.name,

@@ -627,7 +627,7 @@ fn main() {
             match &tasks_mode {
                 None if !combine => {
                     let visited = catalog::with_lock_type(
-                        entry.key,
+                        entry,
                         ShardSweep {
                             sweep: &sweep,
                             shards,
@@ -635,13 +635,12 @@ fn main() {
                             keys,
                             theta,
                         },
-                    )
-                    .expect("catalog entry key always dispatches");
+                    );
                     rows.extend(visited);
                 }
                 None => {
                     match catalog::with_timed_lock_type(
-                        entry.key,
+                        entry,
                         CombinedShardSweep {
                             sweep: &sweep,
                             shards,
@@ -661,7 +660,7 @@ fn main() {
                 Some(task_counts) => {
                     for &tasks in task_counts {
                         match catalog::with_timed_lock_type(
-                            entry.key,
+                            entry,
                             AsyncShardSweep {
                                 sweep: &sweep,
                                 shards,

@@ -11,7 +11,7 @@ use hemlock_core::meta::LockMeta;
 use hemlock_core::pad::CACHE_LINE;
 use hemlock_core::raw::RawLock;
 use hemlock_harness::{Spec, Table};
-use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor};
+use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor, View};
 
 const WORD: usize = core::mem::size_of::<usize>();
 
@@ -57,8 +57,7 @@ fn main() {
     ]);
     for entry in &locks {
         let meta = &entry.meta;
-        let measured = catalog::with_lock_type(entry.key, MeasuredWords)
-            .expect("catalog entry key always dispatches");
+        let measured = catalog::with_lock_type(entry, MeasuredWords);
         let body = if meta.nontrivial_init {
             format!("{}+E", meta.lock_words) // CLH: dummy element installed at init
         } else {
@@ -86,7 +85,10 @@ fn main() {
     );
 
     // Worked example from §2.3: lock L owned by T1 with T2, T3 waiting.
-    if let (Some(mcs), Some(hemlock)) = (catalog::find("mcs"), catalog::find("hemlock")) {
+    if let (Some(mcs), Some(hemlock)) = (
+        catalog::find(View::Lock, "mcs"),
+        catalog::find(View::Lock, "hemlock"),
+    ) {
         let mcs_total = mcs.meta.lock_bytes()
             + 3 * (mcs.meta.held_elements.max(mcs.meta.wait_elements)) * CACHE_LINE;
         let hemlock_total = hemlock.meta.lock_bytes() + 3 * hemlock.meta.thread_words * CACHE_LINE;

@@ -71,14 +71,13 @@ fn main() {
     let mut t = Table::new(vec!["Lock", "Rate (M pairs/s)", "OffCore/pair (sim)"]);
     for entry in &locks {
         let rate = catalog::with_lock_type(
-            entry.key,
+            entry,
             Rate {
                 threads,
                 secs,
                 runs,
             },
-        )
-        .expect("catalog entry key always dispatches");
+        );
         let offcore_cell = match sim_algo_for(entry) {
             Some(algo) => fmt_f64(offcore(algo, sim_threads, rounds, runs as u64), 2),
             None => "n/a".to_string(),

@@ -11,7 +11,7 @@
 //!   abandoned, so a timeout shows up as its full cost, not as a dropped
 //!   sample.
 //!
-//! Locks resolve against the exclusive catalog restricted to its
+//! Locks resolve against the catalog's exclusive view restricted to its
 //! **abortable** subset (`LockMeta::abortable`): non-abortable entries
 //! (CLH, Anderson) are *skipped with a note* rather than faked, since a
 //! waiter that cannot withdraw has no honest timed path. The measurement
@@ -28,7 +28,7 @@ use hemlock_bench::Sweep;
 use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::RawTryLock;
 use hemlock_harness::{fmt_f64, Histogram, Spec, Table};
-use hemlock_locks::catalog::{self, CatalogEntry, TimedLockVisitor};
+use hemlock_locks::catalog::{self, CatalogEntry, TimedLockVisitor, View};
 use hemlock_obs::Pcts;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex as StdMutex;
@@ -243,7 +243,7 @@ fn main() {
             &default_locks
         },
     );
-    let entries = or_exit(catalog::resolve_list(&lock_list));
+    let entries = or_exit(catalog::resolve_list(View::Lock, &lock_list));
     let mut selected: Vec<&'static CatalogEntry> = Vec::new();
     for entry in entries {
         if entry.meta.abortable {
@@ -300,7 +300,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for entry in &selected {
         let visited = catalog::with_timed_lock_type(
-            entry.key,
+            entry,
             TimeoutSweep {
                 sweep: &sweep,
                 holds: &holds,

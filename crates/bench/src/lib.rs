@@ -20,7 +20,7 @@
 //! | `fairness` | §4 fairness contrast (extension) |
 //!
 //! Every binary resolves its lock algorithms at **runtime** through the
-//! unified catalog ([`hemlock_locks::catalog`]): `--lock <name>[,<name>…]`
+//! lock catalog ([`hemlock_locks::catalog`]): `--lock <name>[,<name>…]`
 //! selects any subset of the registry (`fig2 --lock hemlock,mcs,ttas`), and
 //! measurement loops are still monomorphized per algorithm via
 //! [`catalog::with_lock_type`], so runtime selection costs nothing in the
@@ -31,10 +31,10 @@
 //! Extension binaries go beyond the paper's artifacts: `shardkv`
 //! (sharded lock-table scaling, `hemlock-shard`; `--tasks` switches it to
 //! async mode on the in-tree executor), `rwbench` (read-fraction × thread
-//! sweep of the reader-writer subsystem, `hemlock-rw` — its `--lock`
-//! additionally accepts the `rw.*` catalog), `timeoutbench` (abortable
-//! acquisition), `asyncbench` (tasks × worker-threads sweep of the
-//! waker-parking `AsyncMutex` over the `async.*` catalog), and `loadgen`
+//! sweep of the reader-writer locks, `hemlock_locks::rw` — its `--lock`
+//! additionally accepts the catalog's `rw.*` view), `timeoutbench`
+//! (abortable acquisition), `asyncbench` (tasks × worker-threads sweep of
+//! the waker-parking `AsyncMutex` over the `async.*` view), and `loadgen`
 //! (pipelined TCP load against the `hemlock-net` minikv server — conns ×
 //! pipeline depth with Zipfian key skew, reporting p50/p99/p999).
 //! `bench_ci` normalizes all machine-readable outputs into the
@@ -49,7 +49,7 @@ use hemlock_core::raw::RawLock;
 use hemlock_harness::{
     fmt_f64, median_of, mutex_bench, thread_sweep, Args, Contention, MutexBenchConfig, Spec, Table,
 };
-use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor};
+use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor, View};
 use hemlock_simlock::algos::HemlockFlavor;
 use std::time::Duration;
 
@@ -70,7 +70,7 @@ pub fn figure_spec(name: &'static str, about: &'static str) -> Spec {
 /// the catalog; prints the error (including the known keys) and exits on an
 /// unknown name.
 pub fn locks_from_args(args: &Args, default: &str) -> Vec<&'static CatalogEntry> {
-    match catalog::resolve_list(&args.get_str("lock", default)) {
+    match catalog::resolve_list(View::Lock, &args.get_str("lock", default)) {
         Ok(entries) => entries,
         Err(e) => {
             eprintln!("error: {e}");
@@ -155,8 +155,7 @@ pub fn mutexbench_series_for(
     sweep: &Sweep,
     contention: Contention,
 ) -> Vec<f64> {
-    catalog::with_lock_type(entry.key, MutexbenchVisitor { sweep, contention })
-        .expect("catalog entry key always dispatches")
+    catalog::with_lock_type(entry, MutexbenchVisitor { sweep, contention })
 }
 
 /// Runs the MutexBench sweep for every selected entry, yielding
@@ -255,7 +254,7 @@ mod tests {
             runs: 1,
             csv: false,
         };
-        let entry = catalog::find("hemlock").unwrap();
+        let entry = catalog::find(View::Lock, "hemlock").unwrap();
         let series = mutexbench_series_for(entry, &sweep, Contention::Maximum);
         assert_eq!(series.len(), 2);
         assert!(series.iter().all(|&x| x > 0.0));
@@ -263,16 +262,26 @@ mod tests {
 
     #[test]
     fn default_lock_lists_resolve() {
-        assert_eq!(catalog::resolve_list(FIGURE_LOCKS).unwrap().len(), 5);
-        assert_eq!(catalog::resolve_list(FAMILY_LOCKS).unwrap().len(), 8);
+        assert_eq!(
+            catalog::resolve_list(View::Lock, FIGURE_LOCKS)
+                .unwrap()
+                .len(),
+            5
+        );
+        assert_eq!(
+            catalog::resolve_list(View::Lock, FAMILY_LOCKS)
+                .unwrap()
+                .len(),
+            8
+        );
     }
 
     #[test]
     fn sim_mappings_cover_the_default_figure_locks() {
-        for entry in catalog::resolve_list(FIGURE_LOCKS).unwrap() {
+        for entry in catalog::resolve_list(View::Lock, FIGURE_LOCKS).unwrap() {
             assert!(sim_algo_for(entry).is_some(), "{}", entry.key);
         }
-        for entry in catalog::resolve_list(FAMILY_LOCKS).unwrap() {
+        for entry in catalog::resolve_list(View::Lock, FAMILY_LOCKS).unwrap() {
             let parking = entry.meta.parking;
             assert_eq!(sim_flavor_for(entry).is_some(), !parking, "{}", entry.key);
         }

@@ -8,18 +8,24 @@
 //! the Rust analog of the interposition boundary:
 //!
 //! - [`DynLock`] — an object-safe lock handle (`Box<dyn DynLock>`), with
-//!   the same context-free contract as [`RawLock`] plus metadata access;
+//!   the same context-free contract as [`RawLock`] plus metadata access,
+//!   including the shared (read) mode [`RawLock::read_lock`] provides;
 //! - [`DynMutex`] — a guard-based mutex over a `dyn DynLock`, mirroring the
-//!   `Mutex<T, L>` API so application code is indifferent to which layer
-//!   it runs on;
+//!   `Mutex<T, L>` API (`lock`, `read`, and the try/timed forms) so
+//!   application code is indifferent to which layer it runs on;
 //! - [`TryLockError`] — typed "would block" / "timed out" vs "algorithm
 //!   has no trylock or abortable path" (CLH and Anderson cannot withdraw a
 //!   waiter once advertised; §2).
 //!
+//! Reader-writer algorithms need no second trait: as with
+//! [`crate::Mutex`], `read` admits concurrent readers when the algorithm
+//! has a shared mode ([`LockMeta`]'s `rw` bit) and degrades to the
+//! exclusive path otherwise.
+//!
 //! Concrete `dyn` handles are built by the catalog in `hemlock-locks`
-//! (`hemlock_locks::catalog`), which maps string keys like `"hemlock"` or
-//! `"mcs"` to factories; this module only defines the boundary, so that the
-//! core crate stays free of algorithm inventory.
+//! (`hemlock_locks::catalog`), which maps string keys like `"hemlock"`,
+//! `"mcs"` or `"rw.mcs"` to factories; this module only defines the
+//! boundary, so that the core crate stays free of algorithm inventory.
 
 use crate::meta::LockMeta;
 use crate::raw::{RawLock, RawTryLock};
@@ -27,6 +33,7 @@ use core::cell::UnsafeCell;
 use core::fmt;
 use core::marker::PhantomData;
 use core::ops::{Deref, DerefMut};
+use core::time::Duration;
 
 /// An object-safe mutual-exclusion lock: [`RawLock`] minus the compile-time
 /// pieces (`Default`, `const META`), plus runtime metadata access.
@@ -55,7 +62,7 @@ pub unsafe trait DynLock: Send + Sync {
     /// will never be granted the lock by this call), and
     /// `Err(TryLockError::Unsupported)` means the algorithm has no
     /// abortable path (`meta().abortable == false` — CLH, Anderson).
-    fn try_lock_for(&self, timeout: core::time::Duration) -> Result<bool, TryLockError> {
+    fn try_lock_for(&self, timeout: Duration) -> Result<bool, TryLockError> {
         let _ = timeout;
         Err(TryLockError::Unsupported)
     }
@@ -67,6 +74,26 @@ pub unsafe trait DynLock: Send + Sync {
     /// The calling thread must hold the lock and must be the thread that
     /// acquired it, exactly as for [`RawLock::unlock`].
     unsafe fn unlock(&self);
+
+    /// Acquires in shared (read) mode, as [`RawLock::read_lock`]: readers
+    /// coexist when `meta().rw`, otherwise this is the exclusive path.
+    fn read_lock(&self);
+
+    /// Releases a [`DynLock::read_lock`] acquisition.
+    ///
+    /// # Safety
+    ///
+    /// The calling thread must hold the lock in read mode and must be the
+    /// thread that acquired it, exactly as for [`RawLock::read_unlock`].
+    unsafe fn read_unlock(&self);
+
+    /// Attempts a **timed shared** acquisition, with the contract of
+    /// [`DynLock::try_lock_for`]: `Ok(false)` means the reader withdrew,
+    /// `Err(TryLockError::Unsupported)` that there is no abortable path.
+    fn try_read_lock_for(&self, timeout: Duration) -> Result<bool, TryLockError> {
+        let _ = timeout;
+        Err(TryLockError::Unsupported)
+    }
 
     /// Best-effort engagement probe, as [`RawLock::is_locked_hint`]:
     /// statistics only, never correctness.
@@ -106,78 +133,132 @@ impl std::error::Error for TryLockError {}
 /// Adapter giving any [`RawLock`] a [`DynLock`] vtable. `try_lock` reports
 /// [`TryLockError::Unsupported`]; use [`DynTryAdapter`] for algorithms that
 /// implement [`RawTryLock`].
-#[derive(Default)]
-pub struct DynAdapter<L: RawLock>(L);
+pub struct DynAdapter<L: RawLock> {
+    lock: L,
+    meta: LockMeta,
+}
 
 impl<L: RawLock> DynAdapter<L> {
-    /// Wraps a fresh lock.
+    /// Wraps a fresh lock reporting the type's own `META`.
     pub fn new() -> Self {
-        Self(L::default())
+        Self::with_meta(L::META)
+    }
+
+    /// Wraps a fresh lock reporting `meta`, which must describe `L`:
+    /// catalogs only patch the display name (`"RW-MCS"` for
+    /// `RwFromRaw<McsLock>`, which no `const` can spell). The trylock,
+    /// abortable and async bits are cleared, because this handle exposes
+    /// none of those paths even when `L` has them.
+    pub fn with_meta(mut meta: LockMeta) -> Self {
+        meta.try_lock = false;
+        meta.abortable = false;
+        meta.asyncable = false;
+        Self {
+            lock: L::default(),
+            meta,
+        }
+    }
+}
+
+impl<L: RawLock> Default for DynAdapter<L> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 // Safety: forwards directly to the RawLock contract; try_lock never claims
-// ownership, and meta() clears try_lock/abortable so the descriptor stays
-// truthful even when `L` is trylock-capable but was wrapped through this
-// adapter.
+// ownership, and the stored meta has try_lock/abortable cleared.
 unsafe impl<L: RawLock> DynLock for DynAdapter<L> {
     fn meta(&self) -> LockMeta {
-        let mut m = L::META;
-        m.try_lock = false; // this handle exposes no trylock path
-        m.abortable = false; // …and therefore no timed path either
-        m.asyncable = false; // …nor an async one (the fast path is the trylock)
-        m
+        self.meta
     }
     fn lock(&self) {
-        self.0.lock();
+        self.lock.lock();
     }
     fn try_lock(&self) -> Result<bool, TryLockError> {
         Err(TryLockError::Unsupported)
     }
     unsafe fn unlock(&self) {
-        self.0.unlock();
+        self.lock.unlock();
+    }
+    fn read_lock(&self) {
+        self.lock.read_lock();
+    }
+    unsafe fn read_unlock(&self) {
+        self.lock.read_unlock();
     }
     fn is_locked_hint(&self) -> Option<bool> {
-        self.0.is_locked_hint()
+        self.lock.is_locked_hint()
     }
 }
 
 /// Adapter giving a [`RawTryLock`] a [`DynLock`] vtable with a real
-/// `try_lock`.
-#[derive(Default)]
-pub struct DynTryAdapter<L: RawTryLock>(L);
+/// `try_lock`, and real timed paths when the descriptor is `abortable`.
+pub struct DynTryAdapter<L: RawTryLock> {
+    lock: L,
+    meta: LockMeta,
+}
 
 impl<L: RawTryLock> DynTryAdapter<L> {
-    /// Wraps a fresh lock.
+    /// Wraps a fresh lock reporting the type's own `META`.
     pub fn new() -> Self {
-        Self(L::default())
+        Self::with_meta(L::META)
+    }
+
+    /// Wraps a fresh lock reporting `meta`, which must describe `L`
+    /// (catalogs only patch the display name).
+    pub fn with_meta(meta: LockMeta) -> Self {
+        Self {
+            lock: L::default(),
+            meta,
+        }
     }
 }
 
-// Safety: forwards directly to the RawLock/RawTryLock contract, including
-// the timed path (whose bounds L::META.abortable advertises).
+impl<L: RawTryLock> Default for DynTryAdapter<L> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+// Safety: forwards directly to the RawLock/RawTryLock contract; the timed
+// methods are gated on the descriptor's abortable bit so the vtable never
+// claims bounds the type's META disavows.
 unsafe impl<L: RawTryLock> DynLock for DynTryAdapter<L> {
     fn meta(&self) -> LockMeta {
-        L::META
+        self.meta
     }
     fn lock(&self) {
-        self.0.lock();
+        self.lock.lock();
     }
     fn try_lock(&self) -> Result<bool, TryLockError> {
-        Ok(self.0.try_lock())
+        Ok(self.lock.try_lock())
     }
-    fn try_lock_for(&self, timeout: core::time::Duration) -> Result<bool, TryLockError> {
-        if L::META.abortable {
-            Ok(self.0.try_lock_for(timeout))
+    fn try_lock_for(&self, timeout: Duration) -> Result<bool, TryLockError> {
+        if self.meta.abortable {
+            Ok(self.lock.try_lock_for(timeout))
         } else {
             Err(TryLockError::Unsupported)
         }
     }
     unsafe fn unlock(&self) {
-        self.0.unlock();
+        self.lock.unlock();
+    }
+    fn read_lock(&self) {
+        self.lock.read_lock();
+    }
+    unsafe fn read_unlock(&self) {
+        self.lock.read_unlock();
+    }
+    fn try_read_lock_for(&self, timeout: Duration) -> Result<bool, TryLockError> {
+        if self.meta.abortable {
+            Ok(self.lock.try_read_lock_for(timeout))
+        } else {
+            Err(TryLockError::Unsupported)
+        }
     }
     fn is_locked_hint(&self) -> Option<bool> {
-        self.0.is_locked_hint()
+        self.lock.is_locked_hint()
     }
 }
 
@@ -215,7 +296,7 @@ unsafe impl<T: ?Sized + Send> Sync for DynMutex<T> {}
 
 impl<T> DynMutex<T> {
     /// Creates an unlocked mutex over a runtime lock handle (usually built
-    /// by the catalog: `hemlock_locks::catalog::dyn_lock("hemlock")`).
+    /// by the catalog: `hemlock_locks::catalog::dyn_lock(View::Lock, "hemlock")`).
     pub fn new(lock: Box<dyn DynLock>, value: T) -> Self {
         Self {
             raw: lock,
@@ -268,12 +349,50 @@ impl<T: ?Sized> DynMutex<T> {
     /// granted the lock afterwards), [`TryLockError::Unsupported`] when the
     /// algorithm has no abortable path (check [`LockMeta`]'s `abortable`
     /// bit to know in advance).
-    pub fn try_lock_for(
-        &self,
-        timeout: core::time::Duration,
-    ) -> Result<DynMutexGuard<'_, T>, TryLockError> {
+    pub fn try_lock_for(&self, timeout: Duration) -> Result<DynMutexGuard<'_, T>, TryLockError> {
         match self.raw.try_lock_for(timeout)? {
             true => Ok(DynMutexGuard {
+                mutex: self,
+                _not_send: PhantomData,
+            }),
+            false => Err(TryLockError::TimedOut),
+        }
+    }
+
+    /// Acquires for *reading*, as [`Mutex::read`](crate::Mutex::read): any
+    /// number of read guards coexist when the algorithm has a shared mode
+    /// ([`LockMeta`]'s `rw` bit); otherwise this is [`DynMutex::lock`]
+    /// with a read-only guard. `T: Sync` because concurrent readers share
+    /// `&T` across threads.
+    ///
+    /// ```
+    /// use hemlock_core::dynlock::{boxed_try, DynMutex};
+    /// use hemlock_core::hemlock::Hemlock;
+    ///
+    /// let m = DynMutex::new(boxed_try::<Hemlock>(), vec![1, 2, 3]);
+    /// assert_eq!(m.read().len(), 3); // shared guard: Deref only
+    /// m.lock().push(4); // exclusive guard: DerefMut
+    /// assert!(!m.meta().rw); // Hemlock has no shared mode: reads serialize
+    /// ```
+    pub fn read(&self) -> DynReadGuard<'_, T>
+    where
+        T: Sync,
+    {
+        self.raw.read_lock();
+        DynReadGuard {
+            mutex: self,
+            _not_send: PhantomData,
+        }
+    }
+
+    /// Attempts a read acquisition with a deadline, with the errors of
+    /// [`DynMutex::try_lock_for`]: a timed-out reader has withdrawn.
+    pub fn try_read_for(&self, timeout: Duration) -> Result<DynReadGuard<'_, T>, TryLockError>
+    where
+        T: Sync,
+    {
+        match self.raw.try_read_lock_for(timeout)? {
+            true => Ok(DynReadGuard {
                 mutex: self,
                 _not_send: PhantomData,
             }),
@@ -358,6 +477,40 @@ impl<T: ?Sized + fmt::Display> fmt::Display for DynMutexGuard<'_, T> {
     }
 }
 
+/// Shared RAII guard over a [`DynMutex`], returned by [`DynMutex::read`];
+/// releases the read mode on drop. `Deref` only, and `!Send` like
+/// [`DynMutexGuard`]: reader-writer algorithms track the acquisition in
+/// per-thread state (e.g. a thread-striped read indicator).
+pub struct DynReadGuard<'a, T: ?Sized> {
+    mutex: &'a DynMutex<T>,
+    _not_send: PhantomData<*mut ()>,
+}
+
+impl<T: ?Sized> Deref for DynReadGuard<'_, T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        // Safety: we hold the lock in read mode; writers are excluded, and
+        // every other holder also only has `&T`.
+        unsafe { &*self.mutex.data.get() }
+    }
+}
+
+impl<T: ?Sized> Drop for DynReadGuard<'_, T> {
+    #[inline]
+    fn drop(&mut self) {
+        // Safety: this guard proves the current thread holds the lock in
+        // read mode, and the guard is !Send so we are on that thread.
+        unsafe { self.mutex.raw.read_unlock() }
+    }
+}
+
+impl<T: ?Sized + fmt::Debug> fmt::Debug for DynReadGuard<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,7 +554,7 @@ mod tests {
         let m = DynMutex::of::<Hemlock>(());
         assert_eq!(m.try_lock().unwrap_err(), TryLockError::Unsupported);
         assert_eq!(
-            m.try_lock_for(core::time::Duration::from_millis(1))
+            m.try_lock_for(Duration::from_millis(1))
                 .map(|_| ())
                 .unwrap_err(),
             TryLockError::Unsupported
@@ -415,8 +568,25 @@ mod tests {
     }
 
     #[test]
+    fn read_on_an_exclusive_handle_degrades_to_exclusive() {
+        let m = DynMutex::of_try::<Hemlock>(5);
+        assert!(!m.meta().rw);
+        let r = m.read();
+        assert_eq!(*r, 5);
+        // An exclusive algorithm's read mode excludes everyone.
+        assert_eq!(m.try_lock().unwrap_err(), TryLockError::WouldBlock);
+        assert_eq!(
+            m.try_read_for(Duration::from_millis(5))
+                .map(|_| ())
+                .unwrap_err(),
+            TryLockError::TimedOut
+        );
+        drop(r);
+        assert_eq!(*m.try_read_for(Duration::from_millis(5)).expect("free"), 5);
+    }
+
+    #[test]
     fn try_lock_for_times_out_then_reacquires() {
-        use core::time::Duration;
         let m = DynMutex::of_try::<Hemlock>(5);
         assert!(m.meta().abortable);
         // Uncontended: acquires immediately.

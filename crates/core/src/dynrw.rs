@@ -1,444 +1,19 @@
-//! The object-safe dynamic layer for *reader-writer* locks.
-//!
-//! Mirrors [`crate::dynlock`] one capability up: where [`DynLock`] erases a
-//! [`RawLock`](crate::RawLock) so the algorithm can be chosen at runtime,
-//! [`DynRwLock`] erases a [`RawRwLock`] — the four context-free operations
-//! (`read_lock`/`read_unlock`/`write_lock`/`write_unlock`) behind a vtable,
-//! plus metadata access. [`DynRwMutex`] is the guard-based wrapper:
-//! [`DynRwMutex::read`] yields a shared guard (`Deref` only, many may
-//! coexist), [`DynRwMutex::write`] an exclusive one (`DerefMut`).
-//!
-//! Concrete `dyn` handles are built by the RW catalog in `hemlock-rw`
-//! (`hemlock_rw::catalog`), which maps string keys like `"rw.hemlock"` or
-//! `"rw.mcs"` to factories; this module only defines the boundary so the
-//! core crate stays free of algorithm inventory, exactly as with the
-//! exclusive catalog.
-//!
-//! [`DynLock`]: crate::dynlock::DynLock
-
-use crate::dynlock::TryLockError;
-use crate::meta::LockMeta;
-use crate::raw::{RawRwLock, RawTryLock};
-use core::cell::UnsafeCell;
-use core::fmt;
-use core::marker::PhantomData;
-use core::ops::{Deref, DerefMut};
-use core::time::Duration;
-
-/// An object-safe reader-writer lock: [`RawRwLock`] minus the compile-time
-/// pieces (`Default`, `const META`), plus runtime metadata access.
-///
-/// # Safety
-///
-/// Implementations must uphold the [`RawRwLock`] contract: readers coexist,
-/// writers exclude everyone, acquire semantics on acquisition and release
-/// semantics on release in both modes. `meta()` must faithfully describe
-/// the algorithm, with `meta().rw == true`.
-pub unsafe trait DynRwLock: Send + Sync {
-    /// This algorithm's descriptor.
-    fn meta(&self) -> LockMeta;
-
-    /// Acquires in shared (read) mode, blocking until admitted.
-    fn read_lock(&self);
-
-    /// Releases a shared acquisition.
-    ///
-    /// # Safety
-    ///
-    /// The calling thread must hold the lock in read mode and must be the
-    /// thread that acquired it, exactly as for
-    /// [`RawLock::read_unlock`](crate::RawLock::read_unlock).
-    unsafe fn read_unlock(&self);
-
-    /// Acquires exclusively, blocking until every reader and writer is out.
-    fn write_lock(&self);
-
-    /// Releases an exclusive acquisition.
-    ///
-    /// # Safety
-    ///
-    /// The calling thread must hold the lock exclusively and must be the
-    /// thread that acquired it.
-    unsafe fn write_unlock(&self);
-
-    /// Attempts a **timed shared** acquisition: `Ok(true)` confers read
-    /// ownership, `Ok(false)` means the deadline passed (the reader has
-    /// withdrawn from the read indicator), and
-    /// [`TryLockError::Unsupported`] means the algorithm has no abortable
-    /// path (`meta().abortable == false`).
-    fn try_read_lock_for(&self, timeout: Duration) -> Result<bool, TryLockError> {
-        let _ = timeout;
-        Err(TryLockError::Unsupported)
-    }
-
-    /// Attempts a **timed exclusive** acquisition, with the same contract
-    /// as [`DynRwLock::try_read_lock_for`] in write mode.
-    fn try_write_lock_for(&self, timeout: Duration) -> Result<bool, TryLockError> {
-        let _ = timeout;
-        Err(TryLockError::Unsupported)
-    }
-
-    /// Best-effort engagement probe, as
-    /// [`RawLock::is_locked_hint`](crate::RawLock::is_locked_hint):
-    /// statistics only, never correctness.
-    fn is_locked_hint(&self) -> Option<bool> {
-        None
-    }
-}
-
-/// Adapter giving any [`RawRwLock`] a [`DynRwLock`] vtable.
-///
-/// Carries its own [`LockMeta`] copy so catalogs can patch the display name
-/// (`RwFromRaw<McsLock>` has no way to spell `"RW-MCS"` in a `const` —
-/// `&'static str` concatenation does not exist — so the catalog supplies
-/// the patched descriptor at construction instead).
-pub struct DynRwAdapter<L: RawRwLock> {
-    lock: L,
-    meta: LockMeta,
-}
-
-impl<L: RawRwLock> DynRwAdapter<L> {
-    /// Wraps a fresh lock reporting the type's own `META`.
-    pub fn new() -> Self {
-        Self::with_meta(L::META)
-    }
-
-    /// Wraps a fresh lock reporting `meta` (which must describe `L` —
-    /// catalogs only ever patch the display name).
-    pub fn with_meta(meta: LockMeta) -> Self {
-        debug_assert!(meta.rw, "DynRwAdapter requires an rw-capable descriptor");
-        Self {
-            lock: L::default(),
-            meta,
-        }
-    }
-}
-
-impl<L: RawRwLock> Default for DynRwAdapter<L> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// Safety: forwards directly to the RawRwLock contract; `meta` is the type's
-// own descriptor modulo the display name.
-unsafe impl<L: RawRwLock> DynRwLock for DynRwAdapter<L> {
-    fn meta(&self) -> LockMeta {
-        self.meta
-    }
-    fn read_lock(&self) {
-        self.lock.read_lock();
-    }
-    unsafe fn read_unlock(&self) {
-        self.lock.read_unlock();
-    }
-    fn write_lock(&self) {
-        self.lock.write_lock();
-    }
-    unsafe fn write_unlock(&self) {
-        self.lock.write_unlock();
-    }
-    fn is_locked_hint(&self) -> Option<bool> {
-        self.lock.is_locked_hint()
-    }
-}
-
-/// Boxes a [`RawRwLock`] as a runtime reader-writer lock handle.
-pub fn boxed_rw<L: RawRwLock + 'static>() -> Box<dyn DynRwLock> {
-    Box::new(DynRwAdapter::<L>::new())
-}
-
-/// Adapter giving a timed-capable reader-writer lock (`RawRwLock +
-/// RawTryLock`) a [`DynRwLock`] vtable whose timed methods are real.
-/// Mirrors [`DynRwAdapter`], including the catalog display-name patching.
-pub struct DynRwTimedAdapter<L: RawRwLock + RawTryLock> {
-    lock: L,
-    meta: LockMeta,
-}
-
-impl<L: RawRwLock + RawTryLock> DynRwTimedAdapter<L> {
-    /// Wraps a fresh lock reporting the type's own `META`.
-    pub fn new() -> Self {
-        Self::with_meta(L::META)
-    }
-
-    /// Wraps a fresh lock reporting `meta` (which must describe `L` —
-    /// catalogs only ever patch the display name).
-    pub fn with_meta(meta: LockMeta) -> Self {
-        debug_assert!(
-            meta.rw,
-            "DynRwTimedAdapter requires an rw-capable descriptor"
-        );
-        Self {
-            lock: L::default(),
-            meta,
-        }
-    }
-}
-
-impl<L: RawRwLock + RawTryLock> Default for DynRwTimedAdapter<L> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// Safety: forwards directly to the RawRwLock/RawTryLock contracts; the
-// timed methods are gated on the descriptor's abortable bit so the vtable
-// never claims bounds the type's META disavows.
-unsafe impl<L: RawRwLock + RawTryLock> DynRwLock for DynRwTimedAdapter<L> {
-    fn meta(&self) -> LockMeta {
-        self.meta
-    }
-    fn read_lock(&self) {
-        self.lock.read_lock();
-    }
-    unsafe fn read_unlock(&self) {
-        self.lock.read_unlock();
-    }
-    fn write_lock(&self) {
-        self.lock.write_lock();
-    }
-    unsafe fn write_unlock(&self) {
-        self.lock.write_unlock();
-    }
-    fn try_read_lock_for(&self, timeout: Duration) -> Result<bool, TryLockError> {
-        if self.meta.abortable {
-            Ok(self.lock.try_read_lock_for(timeout))
-        } else {
-            Err(TryLockError::Unsupported)
-        }
-    }
-    fn try_write_lock_for(&self, timeout: Duration) -> Result<bool, TryLockError> {
-        if self.meta.abortable {
-            Ok(self.lock.try_lock_for(timeout))
-        } else {
-            Err(TryLockError::Unsupported)
-        }
-    }
-    fn is_locked_hint(&self) -> Option<bool> {
-        self.lock.is_locked_hint()
-    }
-}
-
-/// Boxes a timed-capable [`RawRwLock`] as a runtime reader-writer handle
-/// with real [`DynRwLock::try_read_lock_for`] /
-/// [`DynRwLock::try_write_lock_for`] paths.
-pub fn boxed_rw_timed<L: RawRwLock + RawTryLock + 'static>() -> Box<dyn DynRwLock> {
-    Box::new(DynRwTimedAdapter::<L>::new())
-}
-
-/// A reader-writer primitive protecting a `T`, with the lock algorithm
-/// chosen at **runtime** — the shared-mode counterpart of
-/// [`DynMutex`](crate::dynlock::DynMutex).
-///
-/// ```
-/// use hemlock_core::dynrw::DynRwMutex;
-/// # use hemlock_core::raw::{RawLock, RawRwLock};
-/// # #[derive(Default)] struct Rw(std::sync::atomic::AtomicUsize);
-/// # unsafe impl RawLock for Rw {
-/// #     const META: hemlock_core::LockMeta = {
-/// #         let mut m = hemlock_core::LockMeta::base("Rw", "doc");
-/// #         m.rw = true;
-/// #         m
-/// #     };
-/// #     fn lock(&self) { /* doc stub: single-threaded example */ }
-/// #     unsafe fn unlock(&self) {}
-/// #     fn read_lock(&self) {}
-/// #     unsafe fn read_unlock(&self) {}
-/// # }
-/// # unsafe impl RawRwLock for Rw {}
-/// let m = DynRwMutex::of::<Rw>(vec![1, 2, 3]);
-/// assert_eq!(m.read().len(), 3); // shared guard: Deref only
-/// m.write().push(4); // exclusive guard: DerefMut
-/// assert_eq!(m.read()[3], 4);
-/// ```
-pub struct DynRwMutex<T: ?Sized> {
-    raw: Box<dyn DynRwLock>,
-    data: UnsafeCell<T>,
-}
-
-// Safety: the boxed lock serializes writers against everyone; readers only
-// share `&T`, so cross-thread reads additionally require `T: Sync`.
-unsafe impl<T: ?Sized + Send> Send for DynRwMutex<T> {}
-unsafe impl<T: ?Sized + Send + Sync> Sync for DynRwMutex<T> {}
-
-impl<T> DynRwMutex<T> {
-    /// Creates an unlocked reader-writer mutex over a runtime lock handle
-    /// (usually built by the RW catalog:
-    /// `hemlock_rw::catalog::dyn_rw_lock("rw.hemlock")`).
-    pub fn new(lock: Box<dyn DynRwLock>, value: T) -> Self {
-        Self {
-            raw: lock,
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Statically-typed convenience constructor.
-    pub fn of<L: RawRwLock + 'static>(value: T) -> Self {
-        Self::new(boxed_rw::<L>(), value)
-    }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-}
-
-impl<T: ?Sized> DynRwMutex<T> {
-    /// Acquires in shared mode: any number of read guards may coexist, and
-    /// the protected value cannot change while one is held.
-    pub fn read(&self) -> DynRwReadGuard<'_, T> {
-        self.raw.read_lock();
-        DynRwReadGuard {
-            mutex: self,
-            _not_send: PhantomData,
-        }
-    }
-
-    /// Acquires exclusively, blocking until every reader and writer is out.
-    pub fn write(&self) -> DynRwWriteGuard<'_, T> {
-        self.raw.write_lock();
-        DynRwWriteGuard {
-            mutex: self,
-            _not_send: PhantomData,
-        }
-    }
-
-    /// Attempts a shared acquisition with a deadline:
-    /// [`TryLockError::TimedOut`] when `timeout` elapses first (the reader
-    /// withdrew from the read indicator), [`TryLockError::Unsupported`]
-    /// when the algorithm has no abortable path.
-    pub fn try_read_for(&self, timeout: Duration) -> Result<DynRwReadGuard<'_, T>, TryLockError> {
-        match self.raw.try_read_lock_for(timeout)? {
-            true => Ok(DynRwReadGuard {
-                mutex: self,
-                _not_send: PhantomData,
-            }),
-            false => Err(TryLockError::TimedOut),
-        }
-    }
-
-    /// Attempts an exclusive acquisition with a deadline, with the same
-    /// contract as [`DynRwMutex::try_read_for`] in write mode.
-    pub fn try_write_for(&self, timeout: Duration) -> Result<DynRwWriteGuard<'_, T>, TryLockError> {
-        match self.raw.try_write_lock_for(timeout)? {
-            true => Ok(DynRwWriteGuard {
-                mutex: self,
-                _not_send: PhantomData,
-            }),
-            false => Err(TryLockError::TimedOut),
-        }
-    }
-
-    /// The chosen algorithm's descriptor.
-    pub fn meta(&self) -> LockMeta {
-        self.raw.meta()
-    }
-
-    /// The underlying runtime lock handle.
-    pub fn raw(&self) -> &dyn DynRwLock {
-        &*self.raw
-    }
-
-    /// Mutable access without locking (the `&mut` proves exclusivity).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for DynRwMutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DynRwMutex {{ <{}> }}", self.meta().name)
-    }
-}
-
-/// Shared RAII guard over a [`DynRwMutex`]; releases the read mode on drop.
-///
-/// `Deref` only — readers never get `&mut`. `!Send` like every guard in
-/// this workspace: reader-writer implementations track the acquisition in
-/// per-thread state (e.g. a thread-striped read-indicator), so the release
-/// must run on the acquiring thread.
-pub struct DynRwReadGuard<'a, T: ?Sized> {
-    mutex: &'a DynRwMutex<T>,
-    _not_send: PhantomData<*mut ()>,
-}
-
-impl<T: ?Sized> Deref for DynRwReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // Safety: we hold the lock in read mode; writers are excluded, and
-        // every other holder also only has `&T`.
-        unsafe { &*self.mutex.data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for DynRwReadGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        // Safety: this guard proves the current thread holds the lock in
-        // read mode, and the guard is !Send so we are on that thread.
-        unsafe { self.mutex.raw.read_unlock() }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for DynRwReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-/// Exclusive RAII guard over a [`DynRwMutex`]; releases the write mode on
-/// drop. `!Send` for the same reason as
-/// [`DynMutexGuard`](crate::dynlock::DynMutexGuard).
-pub struct DynRwWriteGuard<'a, T: ?Sized> {
-    mutex: &'a DynRwMutex<T>,
-    _not_send: PhantomData<*mut ()>,
-}
-
-impl<T: ?Sized> Deref for DynRwWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // Safety: we hold the lock exclusively.
-        unsafe { &*self.mutex.data.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for DynRwWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        // Safety: we hold the lock exclusively.
-        unsafe { &mut *self.mutex.data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for DynRwWriteGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        // Safety: this guard proves the current thread holds the lock
-        // exclusively, and the guard is !Send so we are on that thread.
-        unsafe { self.mutex.raw.write_unlock() }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for DynRwWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
+//! Shared-mode tests of the dynamic layer: the read paths that
+//! [`DynLock`](crate::DynLock) and [`DynMutex`](crate::DynMutex) carry for
+//! reader-writer algorithms, exercised over a minimal test-only RW lock.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::dynlock::{boxed_try, DynAdapter, DynLock, DynMutex, TryLockError};
     use crate::meta::LockMeta;
-    use crate::raw::RawLock;
+    use crate::raw::{RawLock, RawRwLock, RawTryLock};
     use crate::spin::SpinWait;
     use core::sync::atomic::{AtomicIsize, Ordering};
+    use core::time::Duration;
 
     /// Minimal test-only RW spin lock (writer = -1, readers = count). The
-    /// real implementations live in `hemlock-rw`; this one only exercises
-    /// the dynamic layer's plumbing.
+    /// real implementations live in `hemlock_locks::rw`; this one only
+    /// exercises the dynamic layer's plumbing.
     #[derive(Default)]
     struct TestRw {
         state: AtomicIsize,
@@ -513,24 +88,24 @@ mod tests {
 
     #[test]
     fn readers_coexist_writers_exclude() {
-        let m = DynRwMutex::of::<TestRw>(7u64);
+        let m = DynMutex::of::<TestRw>(7u64);
         let r1 = m.read();
         let r2 = m.read(); // a second reader must be admitted immediately
         assert_eq!((*r1, *r2), (7, 7));
         drop((r1, r2));
-        *m.write() += 1;
+        *m.lock() += 1;
         assert_eq!(*m.read(), 8);
     }
 
     #[test]
     fn concurrent_reader_writer_mix_is_consistent() {
-        let m = DynRwMutex::of::<TestRw>(0u64);
+        let m = DynMutex::of::<TestRw>(0u64);
         std::thread::scope(|s| {
             for _ in 0..2 {
                 let m = &m;
                 s.spawn(move || {
                     for _ in 0..2_000 {
-                        *m.write() += 1;
+                        *m.lock() += 1;
                     }
                 });
             }
@@ -552,7 +127,7 @@ mod tests {
 
     #[test]
     fn meta_flows_through_the_vtable() {
-        let m = DynRwMutex::of::<TestRw>(());
+        let m = DynMutex::of_try::<TestRw>(());
         assert_eq!(m.meta(), TestRw::META);
         assert!(m.meta().rw);
         assert!(format!("{m:?}").contains("TestRw"));
@@ -562,15 +137,16 @@ mod tests {
     fn with_meta_patches_the_display_name() {
         let mut patched = TestRw::META;
         patched.name = "RW-Patched";
-        let lock: Box<dyn DynRwLock> = Box::new(DynRwAdapter::<TestRw>::with_meta(patched));
+        let lock: Box<dyn DynLock> = Box::new(DynAdapter::<TestRw>::with_meta(patched));
         assert_eq!(lock.meta().name, "RW-Patched");
-        let m = DynRwMutex::new(lock, 1u32);
+        assert!(lock.meta().rw && !lock.meta().try_lock);
+        let m = DynMutex::new(lock, 1u32);
         assert_eq!(*m.read(), 1);
     }
 
     #[test]
     fn plain_adapter_reports_timed_unsupported() {
-        let m = DynRwMutex::of::<TestRw>(0u8);
+        let m = DynMutex::of::<TestRw>(0u8);
         assert_eq!(
             m.try_read_for(Duration::from_millis(1))
                 .map(|_| ())
@@ -578,7 +154,7 @@ mod tests {
             TryLockError::Unsupported
         );
         assert_eq!(
-            m.try_write_for(Duration::from_millis(1))
+            m.try_lock_for(Duration::from_millis(1))
                 .map(|_| ())
                 .unwrap_err(),
             TryLockError::Unsupported
@@ -587,7 +163,7 @@ mod tests {
 
     #[test]
     fn timed_adapter_reads_share_and_writes_time_out() {
-        let m = DynRwMutex::new(boxed_rw_timed::<TestRw>(), 7u64);
+        let m = DynMutex::new(boxed_try::<TestRw>(), 7u64);
         // Timed readers coexist with a blocking reader.
         let held = m.read();
         let r = m
@@ -597,7 +173,7 @@ mod tests {
         // A timed writer must give up while readers are in.
         let t0 = std::time::Instant::now();
         assert_eq!(
-            m.try_write_for(Duration::from_millis(15))
+            m.try_lock_for(Duration::from_millis(15))
                 .map(|_| ())
                 .unwrap_err(),
             TryLockError::TimedOut
@@ -606,7 +182,7 @@ mod tests {
         drop((held, r));
         // Abort left no state: a timed writer now gets in, and while it
         // holds the lock a timed reader times out.
-        let w = m.try_write_for(Duration::from_millis(20)).expect("free");
+        let w = m.try_lock_for(Duration::from_millis(20)).expect("free");
         assert_eq!(
             m.try_read_for(Duration::from_millis(10))
                 .map(|_| ())
@@ -619,9 +195,9 @@ mod tests {
 
     #[test]
     fn write_guard_releases_on_panic() {
-        let m = DynRwMutex::of::<TestRw>(0);
+        let m = DynMutex::of::<TestRw>(0);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut g = m.write();
+            let mut g = m.lock();
             *g = 1;
             panic!("inside critical section");
         }));

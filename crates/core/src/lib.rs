@@ -53,9 +53,11 @@
 //! / [`raw::RawLock::read_unlock`] default to the exclusive path, and
 //! reader-writer algorithms ([`raw::RawRwLock`], advertised via
 //! [`meta::LockMeta`]'s `rw` bit) override them to admit concurrent
-//! readers. [`dynrw::DynRwLock`] / [`dynrw::DynRwMutex`] are the
-//! object-safe counterpart; the implementations (`HemlockRw`, the
-//! `RwFromRaw` adapter) and the `rw.*` catalog live in `hemlock-rw`.
+//! readers. [`dynlock::DynLock`] forwards both modes and
+//! [`dynlock::DynMutex::read`] hands out shared guards, so one dynamic
+//! layer serves exclusive and reader-writer algorithms alike; the
+//! implementations (`HemlockRw`, the `RwFromRaw` adapter) and their
+//! `rw.*` catalog keys live in `hemlock-locks`.
 //!
 //! Both layers also carry an **abortable (timed) acquisition** extension:
 //! [`raw::RawTryLock::try_lock_for`] / `try_lock_until` (and the shared
@@ -103,7 +105,8 @@
 //! - [`meta`] — the [`meta::LockMeta`] algorithm descriptor.
 //! - [`mutex`] — a guard-based `Mutex<T, L>` over any raw lock.
 //! - [`dynlock`] — the object-safe dynamic layer: [`dynlock::DynLock`],
-//!   [`dynlock::DynMutex`], and the raw→dyn adapters.
+//!   [`dynlock::DynMutex`] (exclusive and shared guards), and the raw→dyn
+//!   adapters.
 //! - [`registry`] — the per-thread Grant-slot arena (leak-and-recycle, with
 //!   the paper's drain-before-reclaim rule).
 //! - [`spin`] — busy-wait policy (pure spin vs spin-then-yield).
@@ -118,7 +121,8 @@
 #![deny(missing_docs)]
 
 pub mod dynlock;
-pub mod dynrw;
+#[cfg(test)]
+mod dynrw;
 pub mod events;
 pub mod hemlock;
 pub mod meta;
@@ -129,8 +133,7 @@ pub mod registry;
 pub mod spin;
 pub mod wakerset;
 
-pub use dynlock::{DynLock, DynMutex, DynMutexGuard, TryLockError};
-pub use dynrw::{DynRwLock, DynRwMutex, DynRwReadGuard, DynRwWriteGuard};
+pub use dynlock::{DynLock, DynMutex, DynMutexGuard, DynReadGuard, TryLockError};
 pub use meta::LockMeta;
 pub use mutex::{Mutex, MutexGuard, ReadGuard};
 pub use raw::{RawLock, RawRwLock, RawTryLock};

@@ -1,38 +1,47 @@
-//! The unified lock-algorithm catalog.
+//! The lock catalog: one registry for every lock in the workspace.
 //!
-//! One registry for every lock in the workspace — the Hemlock family from
-//! `hemlock-core` plus the baselines in this crate — mapping stable string
-//! keys (`"hemlock"`, `"hemlock.v1"`, `"mcs"`, `"clh"`, …) to:
+//! Each algorithm has one row in [`for_each_lock!`](crate::for_each_lock):
+//! the Hemlock family from `hemlock-core`, the `obs.hemlock` census build,
+//! and the baselines in this crate. A row maps a stable key (`"hemlock"`,
+//! `"hemlock.v1"`, `"mcs"`, …) to its type, its [`LockMeta`] descriptor
+//! (the Table 1 axes + capabilities), and a factory for type-erased
+//! [`DynLock`] handles ([`DynMutex`]).
 //!
-//! - a [`LockMeta`] descriptor (the Table 1 axes + capabilities), and
-//! - a factory producing a type-erased [`DynLock`] handle for the
-//!   runtime-selection layer ([`DynMutex`]).
+//! Three [`View`]s of the rows serve the binaries:
+//!
+//! - [`View::Lock`] — the rows themselves: every figure and table binary;
+//! - [`View::Rw`] — every row's `rw.*` reader-writer twin: the native
+//!   [`HemlockRw`](crate::rw::HemlockRw) for `hemlock`,
+//!   [`RwFromRaw`](crate::rw::RwFromRaw) over the row's lock for the rest
+//!   (`rwbench` takes these next to the `Lock` names);
+//! - [`View::Async`] — `async.*`: the rows whose `asyncable` bit is set,
+//!   each guarding a waker queue in `hemlock-async` (`asyncbench`,
+//!   `loadgen`, `kvserver`). CLH and Anderson are left out: a waiter that
+//!   cannot withdraw cannot back a cancel-safe future.
 //!
 //! This is the Rust analog of the paper's `LD_PRELOAD` interposition setup
-//! (§5): the figure/table binaries in `hemlock-bench` take
-//! `--lock <key>[,<key>…]` and resolve algorithms here instead of each
-//! carrying a private hard-coded type list.
+//! (§5): the binaries in `hemlock-bench` take `--lock <key>[,<key>…]` and
+//! resolve algorithms here instead of each carrying a private hard-coded
+//! type list. [`find`], [`resolve_list`] and [`keys`] serve every view.
 //!
 //! Two dispatch styles are offered:
 //!
-//! - **dynamic** — [`dyn_lock`] / [`dyn_mutex`] build boxed handles; one
-//!   vtable call per lock operation;
-//! - **static** — [`with_lock_type`] (or the [`for_each_lock!`](crate::for_each_lock) macro
-//!   directly) monomorphizes a generic visitor for the chosen key, so
+//! - **dynamic** — [`dyn_lock`] / [`dyn_mutex`] (or an entry's `make`)
+//!   build boxed handles; one vtable call per lock operation;
+//! - **static** — [`with_lock_type`] (any entry, `RawLock` bound) and
+//!   [`with_timed_lock_type`] (trylock-capable entries, `RawTryLock`
+//!   bound) monomorphize a generic visitor for the entry's type, so
 //!   benchmark inner loops stay as tight as the hand-written originals.
-//!
-//! The [`for_each_lock!`](crate::for_each_lock) macro is the single source of truth: the entry
-//! table, the static dispatcher, and the conformance suite in
-//! `tests/dyn_conformance.rs` are all generated from it.
 
-use hemlock_core::dynlock::{boxed, boxed_try, DynLock, DynMutex};
+use hemlock_core::dynlock::{DynAdapter, DynLock, DynMutex, DynTryAdapter};
 use hemlock_core::meta::LockMeta;
-use hemlock_core::raw::RawLock;
+use hemlock_core::raw::{RawLock, RawTryLock};
 
 /// Re-exports of every catalogued lock type, so `for_each_lock!` callers
 /// (and the macro's own `$crate::catalog::types::…` paths) resolve without
 /// depending on `hemlock-core` directly.
 pub mod types {
+    pub use crate::rw::{HemlockRw, RwFromRaw};
     pub use crate::{AndersonLock, ClhLock, McsLock, TasLock, TicketLock, TtasLock};
     pub use hemlock_core::hemlock::{
         Hemlock, HemlockAh, HemlockChain, HemlockInstrumented, HemlockNaive, HemlockOverlap,
@@ -41,112 +50,283 @@ pub mod types {
     pub use hemlock_obs::ObservedHemlock;
 }
 
-/// Invokes a callback macro with the full catalog: a comma-separated list of
-/// `(key, [aliases…], Type, trylock-capability)` tuples, where the
-/// capability token is `try` (implements `RawTryLock`, including the timed
-/// `try_lock_for` family) or `no_try` (CLH, Anderson: a waiter cannot
-/// withdraw once advertised, so there is neither a trylock nor an
-/// abortable path — their `LockMeta` reports both honestly).
+/// Invokes a callback macro with the catalog: one comma-separated
+/// `(key, [aliases…], Type, capability, RwTwin, [rw aliases…], [async
+/// aliases…])` tuple per algorithm.
 ///
-/// This is the static-dispatch counterpart of the [`ENTRIES`] table — use
-/// it to generate per-algorithm code (tests, dispatchers, tables) without
+/// - The capability token is `try` (implements `RawTryLock`, including the
+///   timed `try_lock_for` family) or `no_try` (CLH, Anderson: a waiter
+///   cannot withdraw once advertised, so there is neither a trylock nor an
+///   abortable path — their `LockMeta` reports both honestly).
+/// - `RwTwin` is the reader-writer type behind the row's `rw.` key.
+/// - The alias lists hold the extra spellings each view accepts, in full
+///   (`"async.hemlock.ctr"`).
+///
+/// Use it to generate per-algorithm code (tests, tables) without
 /// re-listing the algorithms:
 ///
 /// ```
 /// macro_rules! count_locks {
-///     ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
+///     ($(($key:literal, $($rest:tt)*)),+ $(,)?) => {
 ///         const N: usize = 0 $(+ { let _ = $key; 1 })+;
 ///     };
 /// }
 /// hemlock_locks::for_each_lock!(count_locks);
-/// assert_eq!(N, hemlock_locks::catalog::ENTRIES.len());
+/// use hemlock_locks::catalog::{keys, View};
+/// assert_eq!(N, keys(View::Lock).len());
+/// assert_eq!(N, keys(View::Rw).len());
 /// ```
 #[macro_export]
 macro_rules! for_each_lock {
     ($cb:path) => {
-        $cb! {
-            ("hemlock", ["hemlock.ctr"], $crate::catalog::types::Hemlock, try),
-            ("hemlock.naive", ["hemlock-"], $crate::catalog::types::HemlockNaive, try),
-            ("hemlock.overlap", [], $crate::catalog::types::HemlockOverlap, try),
-            ("hemlock.ah", [], $crate::catalog::types::HemlockAh, try),
-            ("hemlock.v1", ["hemlock.hov1"], $crate::catalog::types::HemlockV1, try),
-            ("hemlock.v2", ["hemlock.hov2"], $crate::catalog::types::HemlockV2, try),
-            ("hemlock.parking", ["hemlock.cv"], $crate::catalog::types::HemlockParking, try),
-            ("hemlock.chain", [], $crate::catalog::types::HemlockChain, try),
-            ("hemlock.instr", ["hemlock.instrumented"], $crate::catalog::types::HemlockInstrumented, try),
-            ("obs.hemlock", ["hemlock.obs"], $crate::catalog::types::ObservedHemlock, try),
-            ("mcs", [], $crate::catalog::types::McsLock, try),
-            ("clh", [], $crate::catalog::types::ClhLock, no_try),
-            ("ticket", [], $crate::catalog::types::TicketLock, try),
-            ("tas", [], $crate::catalog::types::TasLock, try),
-            ("ttas", [], $crate::catalog::types::TtasLock, try),
-            ("anderson", [], $crate::catalog::types::AndersonLock, no_try),
+        $crate::for_each_lock! { @paths $cb;
+            ("hemlock", ["hemlock.ctr"], Hemlock, try, HemlockRw, ["hemlock.rw"], ["async.hemlock.ctr"]),
+            ("hemlock.naive", ["hemlock-"], HemlockNaive, try, RwFromRaw<HemlockNaive>, [], []),
+            ("hemlock.overlap", [], HemlockOverlap, try, RwFromRaw<HemlockOverlap>, [], []),
+            ("hemlock.ah", [], HemlockAh, try, RwFromRaw<HemlockAh>, [], []),
+            ("hemlock.v1", ["hemlock.hov1"], HemlockV1, try, RwFromRaw<HemlockV1>, [], []),
+            ("hemlock.v2", ["hemlock.hov2"], HemlockV2, try, RwFromRaw<HemlockV2>, [], []),
+            ("hemlock.parking", ["hemlock.cv"], HemlockParking, try, RwFromRaw<HemlockParking>, [], []),
+            ("hemlock.chain", [], HemlockChain, try, RwFromRaw<HemlockChain>, [], []),
+            ("hemlock.instr", ["hemlock.instrumented"], HemlockInstrumented, try, RwFromRaw<HemlockInstrumented>, [], []),
+            ("obs.hemlock", ["hemlock.obs"], ObservedHemlock, try, RwFromRaw<ObservedHemlock>, ["rw.hemlock.obs"], ["async.hemlock.obs"]),
+            ("mcs", [], McsLock, try, RwFromRaw<McsLock>, [], []),
+            ("clh", [], ClhLock, no_try, RwFromRaw<ClhLock>, [], []),
+            ("ticket", [], TicketLock, try, RwFromRaw<TicketLock>, [], []),
+            ("tas", [], TasLock, try, RwFromRaw<TasLock>, [], []),
+            ("ttas", [], TtasLock, try, RwFromRaw<TtasLock>, [], []),
+            ("anderson", [], AndersonLock, no_try, RwFromRaw<AndersonLock>, [], []),
         }
+    };
+    // Qualifies the rows' type names with `$crate::catalog::types::`.
+    (@paths $cb:path; $((
+        $key:literal, $aliases:tt, $ty:ident, $cap:ident,
+        $rw:ident $(<$gate:ident>)?, $rw_aliases:tt, $async_aliases:tt
+    )),+ $(,)?) => {
+        $cb! { $((
+            $key, $aliases, $crate::catalog::types::$ty, $cap,
+            $crate::catalog::types::$rw $(<$crate::catalog::types::$gate>)?,
+            $rw_aliases, $async_aliases
+        )),+ }
     };
 }
 
-/// One catalog entry: a stable key, spelling aliases, the algorithm's
-/// metadata, and a factory for runtime lock handles.
+/// Which family of names a lookup serves (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum View {
+    /// The exclusive keys: `"hemlock"`, `"mcs"`, ….
+    Lock,
+    /// The `rw.*` reader-writer twins of every row.
+    Rw,
+    /// The `async.*` keys of the asyncable rows; they dispatch the row's
+    /// own lock, which guards the waker queue.
+    Async,
+}
+
+impl View {
+    /// The word error messages put before "lock".
+    fn adjective(self) -> &'static str {
+        match self {
+            View::Lock => "",
+            View::Rw => "RW ",
+            View::Async => "async ",
+        }
+    }
+}
+
+/// One catalog entry: a row as seen through one [`View`].
 #[derive(Debug)]
 pub struct CatalogEntry {
-    /// Canonical selector key (`--lock` spelling), e.g. `"hemlock.v1"`.
+    /// The view this entry belongs to.
+    pub view: View,
+    /// Canonical selector key (`--lock` spelling): the row's key, prefixed
+    /// `rw.` or `async.` outside [`View::Lock`], e.g. `"rw.hemlock.v1"`.
     pub key: &'static str,
     /// Alternate accepted spellings.
     pub aliases: &'static [&'static str],
-    /// The algorithm's descriptor (identical to the static type's `META`).
+    /// The descriptor of the type the entry dispatches. An `rw.` twin that
+    /// inherits its gate's name is shown as `RW-<name>` (`"RW-MCS"`).
     pub meta: LockMeta,
-    /// Builds a fresh, unlocked, type-erased handle on this algorithm.
+    /// Builds a fresh, unlocked, type-erased handle on this entry's type.
     pub make: fn() -> Box<dyn DynLock>,
 }
 
 impl CatalogEntry {
     /// True when `name` selects this entry: matches the key, an alias, or
-    /// the display name, ASCII-case-insensitively.
+    /// the display name, ASCII-case-insensitively. Async entries share
+    /// their row's display name, which stays a [`View::Lock`] name.
     pub fn matches(&self, name: &str) -> bool {
         self.key.eq_ignore_ascii_case(name)
-            || self.meta.name.eq_ignore_ascii_case(name)
             || self.aliases.iter().any(|a| a.eq_ignore_ascii_case(name))
+            || (self.view != View::Async && self.meta.name.eq_ignore_ascii_case(name))
     }
 }
 
-macro_rules! gen_entries {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// Every lock algorithm in the workspace, in catalog order
-        /// (Hemlock family first, then the baselines).
-        pub static ENTRIES: &[CatalogEntry] = &[
-            $(CatalogEntry {
-                key: $key,
-                aliases: &[$($alias),*],
-                meta: <$ty as RawLock>::META,
-                make: gen_entries!(@maker $cap, $ty),
-            }),+
-        ];
-    };
-    (@maker try, $ty:ty) => { boxed_try::<$ty> };
-    (@maker no_try, $ty:ty) => { boxed::<$ty> };
+/// The descriptor of an `rw.` twin: the twin type's own `META`, with a
+/// twin that reports its gate's name (every `RwFromRaw<L>`) renamed
+/// `RW-<name>`. Rust has no `const` string concatenation over generic
+/// names, so the bytes are spliced here per row.
+macro_rules! twin_meta {
+    ($ty:ty, $rw:ty) => {{
+        const GATE: &str = <$ty as RawLock>::META.name;
+        const TWIN: LockMeta = <$rw as RawLock>::META;
+        const LEN: usize = 3 + GATE.len();
+        const BYTES: [u8; LEN] = {
+            let mut out = [0u8; LEN];
+            let mut i = 0;
+            while i < LEN {
+                out[i] = if i < 3 {
+                    b"RW-"[i]
+                } else {
+                    GATE.as_bytes()[i - 3]
+                };
+                i += 1;
+            }
+            out
+        };
+        const NAME: &str = match core::str::from_utf8(&BYTES) {
+            Ok(name) => name,
+            Err(_) => panic!("lock names are UTF-8"),
+        };
+        let mut m = TWIN;
+        if same_str(TWIN.name, GATE) {
+            m.name = NAME;
+        }
+        m
+    }};
 }
-for_each_lock!(gen_entries);
 
-/// Looks up one entry by key, alias, or display name (case-insensitive).
-pub fn find(name: &str) -> Option<&'static CatalogEntry> {
-    ENTRIES.iter().find(|e| e.matches(name.trim()))
+const fn same_str(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+macro_rules! gen_catalog {
+    ($((
+        $key:literal, [$($alias:literal),*], $ty:ty, $cap:ident,
+        $rw:ty, [$($rw_alias:literal),*], [$($async_alias:literal),*]
+    )),+ $(,)?) => {
+        /// Every row through every view, in row order. Async entries exist
+        /// for every row; [`entries`] admits those whose `asyncable` bit
+        /// is set.
+        static ENTRIES: &[CatalogEntry] = &[
+            $(
+                CatalogEntry {
+                    view: View::Lock,
+                    key: $key,
+                    aliases: &[$($alias),*],
+                    meta: <$ty as RawLock>::META,
+                    make: || gen_catalog!(@handle $cap, $ty, <$ty as RawLock>::META),
+                },
+                {
+                    const META: LockMeta = twin_meta!($ty, $rw);
+                    CatalogEntry {
+                        view: View::Rw,
+                        key: concat!("rw.", $key),
+                        aliases: &[$($rw_alias),*],
+                        meta: META,
+                        make: || gen_catalog!(@handle $cap, $rw, META),
+                    }
+                },
+                CatalogEntry {
+                    view: View::Async,
+                    key: concat!("async.", $key),
+                    aliases: &[$($async_alias),*],
+                    meta: <$ty as RawLock>::META,
+                    make: || gen_catalog!(@handle $cap, $ty, <$ty as RawLock>::META),
+                },
+            )+
+        ];
+
+        /// Statically dispatches `visitor` on `entry`'s type: the visitor's
+        /// generic `visit` is monomorphized for it, so the hot path carries
+        /// no vtable indirection.
+        pub fn with_lock_type<V: LockVisitor>(entry: &'static CatalogEntry, visitor: V) -> V::Output {
+            match entry.key {
+                $(
+                    $key | concat!("async.", $key) => visitor.visit::<$ty>(entry),
+                    concat!("rw.", $key) => visitor.visit::<$rw>(entry),
+                )+
+                _ => unreachable!("catalog key missing from the dispatch table"),
+            }
+        }
+
+        /// Statically dispatches `visitor` on `entry`'s type when it is
+        /// trylock/timed-capable. Returns `None` for entries without a
+        /// trylock path (CLH, Anderson and their `rw.` twins) — check
+        /// [`CatalogEntry::meta`]`.abortable` to know in advance.
+        pub fn with_timed_lock_type<V: TimedLockVisitor>(
+            entry: &'static CatalogEntry,
+            visitor: V,
+        ) -> Option<V::Output> {
+            match entry.key {
+                $(
+                    $key | concat!("async.", $key) => gen_catalog!(@timed $cap, $ty, visitor, entry),
+                    concat!("rw.", $key) => gen_catalog!(@timed $cap, $rw, visitor, entry),
+                )+
+                _ => unreachable!("catalog key missing from the dispatch table"),
+            }
+        }
+    };
+    (@handle try, $ty:ty, $meta:expr) => { Box::new(DynTryAdapter::<$ty>::with_meta($meta)) };
+    (@handle no_try, $ty:ty, $meta:expr) => { Box::new(DynAdapter::<$ty>::with_meta($meta)) };
+    (@timed try, $ty:ty, $visitor:ident, $entry:ident) => { Some($visitor.visit::<$ty>($entry)) };
+    (@timed no_try, $ty:ty, $visitor:ident, $entry:ident) => {{
+        let _ = $visitor;
+        None
+    }};
+}
+for_each_lock!(gen_catalog);
+
+/// The entries of `view`, in row order.
+pub fn entries(view: View) -> impl Iterator<Item = &'static CatalogEntry> {
+    ENTRIES
+        .iter()
+        .filter(move |e| e.view == view && (view != View::Async || e.meta.asyncable))
+}
+
+/// Looks up one entry of `view` by key, alias, or display name
+/// (case-insensitive).
+pub fn find(view: View, name: &str) -> Option<&'static CatalogEntry> {
+    let name = name.trim();
+    entries(view).find(|e| e.matches(name))
+}
+
+/// [`find`], with an error listing the view's keys when nothing matches.
+pub fn lookup(view: View, name: &str) -> Result<&'static CatalogEntry, String> {
+    find(view, name).ok_or_else(|| {
+        let adj = view.adjective();
+        format!(
+            "unknown {adj}lock {name:?}; known {adj}locks: {}",
+            keys(view).join(", ")
+        )
+    })
 }
 
 /// Resolves a comma-separated selector list (the `--lock` argument) to
-/// entries, preserving order and rejecting unknown or duplicate names with
-/// a message that lists the valid keys.
-pub fn resolve_list(list: &str) -> Result<Vec<&'static CatalogEntry>, String> {
+/// entries of `view`, preserving order and rejecting unknown or duplicate
+/// names with a message that lists the valid keys.
+pub fn resolve_list(view: View, list: &str) -> Result<Vec<&'static CatalogEntry>, String> {
     let mut out: Vec<&'static CatalogEntry> = Vec::new();
     for name in list.split(',') {
         let name = name.trim();
         if name.is_empty() {
             return Err(format!(
                 "empty lock name in {list:?}; expected a comma-separated subset of: {}",
-                keys().join(", ")
+                keys(view).join(", ")
             ));
         }
-        let entry = find(name)
-            .ok_or_else(|| format!("unknown lock {name:?}; known locks: {}", keys().join(", ")))?;
+        let entry = lookup(view, name)?;
         if out.iter().any(|e| core::ptr::eq(*e, entry)) {
             return Err(format!("lock {name:?} selected twice in {list:?}"));
         }
@@ -155,9 +335,9 @@ pub fn resolve_list(list: &str) -> Result<Vec<&'static CatalogEntry>, String> {
     Ok(out)
 }
 
-/// All canonical keys, in catalog order.
-pub fn keys() -> Vec<&'static str> {
-    ENTRIES.iter().map(|e| e.key).collect()
+/// The canonical keys of `view`, in row order.
+pub fn keys(view: View) -> Vec<&'static str> {
+    entries(view).map(|e| e.key).collect()
 }
 
 /// Entries suited to *many-instance* deployments such as sharded lock
@@ -167,8 +347,7 @@ pub fn keys() -> Vec<&'static str> {
 /// `hemlock-shard` default to this subset (excluding CLH, whose per-lock
 /// dummy element costs a padded cache line, and Anderson's waiting array).
 pub fn shard_friendly() -> Vec<&'static CatalogEntry> {
-    ENTRIES
-        .iter()
+    entries(View::Lock)
         .filter(|e| e.meta.lock_words <= 2 && !e.meta.nontrivial_init)
         .collect()
 }
@@ -180,19 +359,18 @@ pub fn shard_friendly() -> Vec<&'static CatalogEntry> {
 /// cannot withdraw once it has advertised itself (CLH's tail link,
 /// Anderson's claimed array slot).
 pub fn abortable() -> Vec<&'static CatalogEntry> {
-    ENTRIES.iter().filter(|e| e.meta.abortable).collect()
+    entries(View::Lock).filter(|e| e.meta.abortable).collect()
 }
 
-/// Builds a runtime lock handle for `name`.
-pub fn dyn_lock(name: &str) -> Result<Box<dyn DynLock>, String> {
-    let entry = find(name)
-        .ok_or_else(|| format!("unknown lock {name:?}; known locks: {}", keys().join(", ")))?;
-    Ok((entry.make)())
+/// Builds a runtime lock handle for `name` in `view`.
+pub fn dyn_lock(view: View, name: &str) -> Result<Box<dyn DynLock>, String> {
+    Ok((lookup(view, name)?.make)())
 }
 
-/// Builds a [`DynMutex`] protecting `value` with the algorithm `name`.
-pub fn dyn_mutex<T>(name: &str, value: T) -> Result<DynMutex<T>, String> {
-    Ok(DynMutex::new(dyn_lock(name)?, value))
+/// Builds a [`DynMutex`] protecting `value` with the algorithm `name` in
+/// `view`.
+pub fn dyn_mutex<T>(view: View, name: &str, value: T) -> Result<DynMutex<T>, String> {
+    Ok(DynMutex::new(dyn_lock(view, name)?, value))
 }
 
 /// A generic computation instantiated per statically-dispatched lock type —
@@ -200,26 +378,9 @@ pub fn dyn_mutex<T>(name: &str, value: T) -> Result<DynMutex<T>, String> {
 pub trait LockVisitor {
     /// Result produced per lock type.
     type Output;
-    /// Runs the computation with the chosen algorithm as `L`.
+    /// Runs the computation with the entry's type as `L`.
     fn visit<L: RawLock + 'static>(self, entry: &'static CatalogEntry) -> Self::Output;
 }
-
-macro_rules! gen_dispatch {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// Statically dispatches `visitor` on the algorithm selected by
-        /// `name`: the visitor's generic `visit` is monomorphized for the
-        /// matching type, so the hot path carries no vtable indirection.
-        /// Returns `None` for unknown names.
-        pub fn with_lock_type<V: LockVisitor>(name: &str, visitor: V) -> Option<V::Output> {
-            let entry = find(name)?;
-            match entry.key {
-                $($key => Some(visitor.visit::<$ty>(entry)),)+
-                _ => unreachable!("catalog key missing from dispatch table"),
-            }
-        }
-    };
-}
-for_each_lock!(gen_dispatch);
 
 /// A generic computation instantiated per statically-dispatched
 /// **trylock/timed-capable** lock type — the visitor side of
@@ -229,74 +390,84 @@ for_each_lock!(gen_dispatch);
 pub trait TimedLockVisitor {
     /// Result produced per lock type.
     type Output;
-    /// Runs the computation with the chosen algorithm as `L`.
-    fn visit<L: hemlock_core::raw::RawTryLock + 'static>(
-        self,
-        entry: &'static CatalogEntry,
-    ) -> Self::Output;
+    /// Runs the computation with the entry's type as `L`.
+    fn visit<L: RawTryLock + 'static>(self, entry: &'static CatalogEntry) -> Self::Output;
 }
-
-macro_rules! gen_timed_dispatch {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// Statically dispatches `visitor` on the algorithm selected by
-        /// `name`, restricted to the trylock/timed-capable subset. Returns
-        /// `None` for unknown names **and** for known entries without a
-        /// trylock path (CLH, Anderson) — check
-        /// [`CatalogEntry::meta`]`.abortable` to distinguish.
-        pub fn with_timed_lock_type<V: TimedLockVisitor>(
-            name: &str,
-            visitor: V,
-        ) -> Option<V::Output> {
-            let entry = find(name)?;
-            match entry.key {
-                $($key => gen_timed_dispatch!(@arm $cap, $ty, visitor, entry),)+
-                _ => unreachable!("catalog key missing from timed dispatch table"),
-            }
-        }
-    };
-    (@arm try, $ty:ty, $visitor:ident, $entry:ident) => {
-        Some($visitor.visit::<$ty>($entry))
-    };
-    (@arm no_try, $ty:ty, $visitor:ident, $entry:ident) => {{
-        let _ = $visitor;
-        None
-    }};
-}
-for_each_lock!(gen_timed_dispatch);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::time::Duration;
+
+    fn all() -> impl Iterator<Item = &'static CatalogEntry> {
+        [View::Lock, View::Rw, View::Async]
+            .into_iter()
+            .flat_map(entries)
+    }
 
     #[test]
     fn finds_by_key_alias_display_name_case_insensitively() {
-        assert_eq!(find("hemlock").unwrap().meta.name, "Hemlock");
-        assert_eq!(find("hemlock.ctr").unwrap().key, "hemlock");
-        assert_eq!(find("Hemlock-").unwrap().key, "hemlock.naive");
-        assert_eq!(find("MCS").unwrap().key, "mcs");
-        assert_eq!(find("mCs").unwrap().key, "mcs");
-        assert!(find("nope").is_none());
+        assert_eq!(find(View::Lock, "hemlock").unwrap().meta.name, "Hemlock");
+        assert_eq!(find(View::Lock, "hemlock.ctr").unwrap().key, "hemlock");
+        assert_eq!(find(View::Lock, "Hemlock-").unwrap().key, "hemlock.naive");
+        assert_eq!(find(View::Lock, "MCS").unwrap().key, "mcs");
+        assert_eq!(find(View::Lock, "mCs").unwrap().key, "mcs");
+        assert!(
+            find(View::Lock, "rw.mcs").is_none(),
+            "twins stay in their view"
+        );
+        assert!(find(View::Lock, "nope").is_none());
+    }
+
+    #[test]
+    fn rw_finds_by_key_alias_display_name_case_insensitively() {
+        assert_eq!(find(View::Rw, "rw.hemlock").unwrap().meta.name, "HemlockRw");
+        assert_eq!(find(View::Rw, "HEMLOCKRW").unwrap().key, "rw.hemlock");
+        assert_eq!(find(View::Rw, "hemlock.rw").unwrap().key, "rw.hemlock");
+        assert_eq!(find(View::Rw, "RW-MCS").unwrap().key, "rw.mcs");
+        assert!(find(View::Rw, "mcs").is_none(), "exclusive keys stay out");
+        assert!(find(View::Rw, "nope").is_none());
     }
 
     #[test]
     fn resolve_list_preserves_order_and_reports_errors() {
-        let picked = resolve_list("mcs, clh,hemlock").unwrap();
+        let picked = resolve_list(View::Lock, "mcs, clh,hemlock").unwrap();
         assert_eq!(
             picked.iter().map(|e| e.key).collect::<Vec<_>>(),
             ["mcs", "clh", "hemlock"]
         );
-        assert!(resolve_list("mcs,bogus")
+        assert!(resolve_list(View::Lock, "mcs,bogus")
             .unwrap_err()
-            .contains("known locks"));
-        assert!(resolve_list("mcs,,clh")
+            .contains("; known locks: hemlock,"));
+        assert!(resolve_list(View::Lock, "mcs,,clh")
             .unwrap_err()
             .contains("empty lock name"));
-        assert!(resolve_list("mcs,MCS").unwrap_err().contains("twice"));
+        assert!(resolve_list(View::Lock, "mcs,MCS")
+            .unwrap_err()
+            .contains("twice"));
+    }
+
+    #[test]
+    fn rw_resolve_list_preserves_order_and_reports_errors() {
+        let picked = resolve_list(View::Rw, "rw.mcs, rw.clh,rw.hemlock").unwrap();
+        assert_eq!(
+            picked.iter().map(|e| e.key).collect::<Vec<_>>(),
+            ["rw.mcs", "rw.clh", "rw.hemlock"]
+        );
+        assert!(resolve_list(View::Rw, "rw.mcs,bogus")
+            .unwrap_err()
+            .contains("known RW locks: rw.hemlock,"));
+        assert!(resolve_list(View::Rw, "rw.mcs,,rw.clh")
+            .unwrap_err()
+            .contains("empty lock name"));
+        assert!(resolve_list(View::Rw, "rw.mcs,RW-MCS")
+            .unwrap_err()
+            .contains("twice"));
     }
 
     #[test]
     fn every_entry_builds_a_working_dyn_lock() {
-        for entry in ENTRIES {
+        for entry in all() {
             let lock = (entry.make)();
             assert_eq!(lock.meta(), entry.meta, "{}", entry.key);
             lock.lock();
@@ -306,8 +477,24 @@ mod tests {
     }
 
     #[test]
+    fn every_entry_builds_a_working_dyn_rw_lock() {
+        for entry in entries(View::Rw) {
+            let lock = (entry.make)();
+            assert!(lock.meta().rw, "{}", entry.key);
+            lock.lock();
+            // Safety: acquired on this thread just above.
+            unsafe { lock.unlock() };
+            lock.read_lock();
+            lock.read_lock(); // readers coexist
+                              // Safety: read-acquired twice on this thread just above.
+            unsafe { lock.read_unlock() };
+            unsafe { lock.read_unlock() };
+        }
+    }
+
+    #[test]
     fn try_capability_agrees_between_meta_and_factory() {
-        for entry in ENTRIES {
+        for entry in all() {
             let lock = (entry.make)();
             let outcome = lock.try_lock();
             if entry.meta.try_lock {
@@ -322,8 +509,7 @@ mod tests {
 
     #[test]
     fn abortable_capability_agrees_between_meta_and_dyn_handle() {
-        use core::time::Duration;
-        for entry in ENTRIES {
+        for entry in all() {
             let lock = (entry.make)();
             let outcome = lock.try_lock_for(Duration::from_millis(5));
             if entry.meta.abortable {
@@ -332,6 +518,31 @@ mod tests {
                 unsafe { lock.unlock() };
             } else {
                 assert!(outcome.is_err(), "{}", entry.key);
+            }
+        }
+    }
+
+    #[test]
+    fn timed_capability_agrees_between_meta_and_dyn_handle() {
+        let ms = Duration::from_millis(5);
+        for entry in entries(View::Rw) {
+            let lock = (entry.make)();
+            let read = lock.try_read_lock_for(ms);
+            let write = lock.try_lock_for(ms);
+            if entry.meta.abortable {
+                // Free lock: the read attempt must have been admitted; the
+                // write attempt then timed out behind it (readers exclude
+                // writers) — both through the vtable.
+                assert_eq!(read, Ok(true), "{}", entry.key);
+                assert_eq!(write, Ok(false), "{}: writer behind a reader", entry.key);
+                // Safety: read-acquired just above on this thread.
+                unsafe { lock.read_unlock() };
+                assert_eq!(lock.try_lock_for(ms), Ok(true), "{}", entry.key);
+                // Safety: write-acquired just above on this thread.
+                unsafe { lock.unlock() };
+            } else {
+                assert!(read.is_err(), "{}", entry.key);
+                assert!(write.is_err(), "{}", entry.key);
             }
         }
     }
@@ -357,12 +568,9 @@ mod tests {
         struct TimedProbe;
         impl TimedLockVisitor for TimedProbe {
             type Output = bool;
-            fn visit<L: hemlock_core::raw::RawTryLock + 'static>(
-                self,
-                _entry: &'static CatalogEntry,
-            ) -> bool {
+            fn visit<L: RawTryLock + 'static>(self, _entry: &'static CatalogEntry) -> bool {
                 let l = L::default();
-                let got = l.try_lock_for(core::time::Duration::from_millis(5));
+                let got = l.try_lock_for(Duration::from_millis(5));
                 if got {
                     // Safety: the timed acquisition conferred ownership.
                     unsafe { l.unlock() };
@@ -370,38 +578,89 @@ mod tests {
                 got
             }
         }
-        for entry in ENTRIES {
-            let hit = with_timed_lock_type(entry.key, TimedProbe);
+        for entry in all() {
+            let hit = with_timed_lock_type(entry, TimedProbe);
             assert_eq!(hit.is_some(), entry.meta.try_lock, "{}", entry.key);
             if let Some(acquired) = hit {
                 assert!(acquired, "{}: free timed acquire must succeed", entry.key);
             }
         }
-        assert!(with_timed_lock_type("bogus", TimedProbe).is_none());
+    }
+
+    #[test]
+    fn timed_dispatch_reaches_both_catalogs_and_skips_unwithdrawable_entries() {
+        struct TimedRoundtrip;
+        impl TimedLockVisitor for TimedRoundtrip {
+            type Output = &'static str;
+            fn visit<L: RawTryLock + 'static>(self, entry: &'static CatalogEntry) -> &'static str {
+                let l = L::default();
+                assert!(l.try_lock_for(Duration::from_millis(5)), "{}", entry.key);
+                // Safety: the timed acquisition conferred ownership.
+                unsafe { l.unlock() };
+                assert!(
+                    l.try_read_lock_for(Duration::from_millis(5)),
+                    "{}",
+                    entry.key
+                );
+                // Safety: the timed read acquisition succeeded above.
+                unsafe { l.read_unlock() };
+                entry.meta.name
+            }
+        }
+        let at = |view, name| with_timed_lock_type(find(view, name).unwrap(), TimedRoundtrip);
+        assert_eq!(at(View::Rw, "rw.hemlock"), Some("HemlockRw"));
+        assert_eq!(at(View::Rw, "rw.mcs"), Some("RW-MCS"));
+        assert_eq!(at(View::Lock, "hemlock"), Some("Hemlock"));
+        assert_eq!(at(View::Lock, "ticket"), Some("Ticket"));
+        // Known but unwithdrawable names dispatch to None in both views.
+        assert_eq!(at(View::Rw, "rw.clh"), None);
+        assert_eq!(at(View::Lock, "clh"), None);
     }
 
     #[test]
     fn dyn_mutex_by_name() {
-        let m = dyn_mutex("ticket", 41u32).unwrap();
+        let m = dyn_mutex(View::Lock, "ticket", 41u32).unwrap();
         *m.lock() += 1;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.meta().name, "Ticket");
-        assert!(dyn_mutex("bogus", 0).is_err());
+        assert!(dyn_mutex(View::Lock, "bogus", 0).is_err());
+        assert!(dyn_mutex(View::Lock, "rw.ticket", 0).is_err());
+    }
+
+    #[test]
+    fn dyn_rw_mutex_by_name() {
+        let m = dyn_mutex(View::Rw, "rw.ticket", 41u32).unwrap();
+        *m.lock() += 1;
+        assert_eq!(*m.read(), 42);
+        assert_eq!(m.meta().name, "RW-Ticket");
+        assert!(dyn_mutex(View::Rw, "bogus", 0).is_err());
+    }
+
+    struct NameAndSize;
+    impl LockVisitor for NameAndSize {
+        type Output = (&'static str, usize);
+        fn visit<L: RawLock + 'static>(self, _entry: &'static CatalogEntry) -> Self::Output {
+            (L::META.name, core::mem::size_of::<L>())
+        }
     }
 
     #[test]
     fn static_dispatch_reaches_the_right_type() {
-        struct NameOf;
-        impl LockVisitor for NameOf {
-            type Output = (&'static str, usize);
-            fn visit<L: RawLock + 'static>(self, _entry: &'static CatalogEntry) -> Self::Output {
-                (L::META.name, core::mem::size_of::<L>())
-            }
-        }
-        let (name, size) = with_lock_type("mcs", NameOf).unwrap();
-        assert_eq!(name, "MCS");
-        assert_eq!(size, core::mem::size_of::<crate::McsLock>());
-        assert!(with_lock_type("bogus", NameOf).is_none());
+        let mcs = with_lock_type(find(View::Lock, "mcs").unwrap(), NameAndSize);
+        assert_eq!(mcs, ("MCS", core::mem::size_of::<crate::McsLock>()));
+    }
+
+    #[test]
+    fn static_dispatch_reaches_both_catalogs() {
+        let at = |view, name| with_lock_type(find(view, name).unwrap(), NameAndSize);
+        let rw = core::mem::size_of::<crate::rw::RwFromRaw<crate::McsLock>>();
+        // The twin type itself keeps its gate's name; the entry renames it.
+        assert_eq!(at(View::Rw, "rw.mcs"), ("MCS", rw));
+        assert_eq!(find(View::Rw, "rw.mcs").unwrap().meta.name, "RW-MCS");
+        let native = core::mem::size_of::<crate::rw::HemlockRw>();
+        assert_eq!(at(View::Rw, "rw.hemlock"), ("HemlockRw", native));
+        // Same visitor over an exclusive entry: the degraded read path.
+        assert!(!find(View::Lock, "mcs").unwrap().meta.rw);
     }
 
     #[test]
@@ -420,7 +679,7 @@ mod tests {
 
     #[test]
     fn locked_hint_agrees_with_lock_state() {
-        for entry in ENTRIES {
+        for entry in all() {
             let lock = (entry.make)();
             if let Some(held) = lock.is_locked_hint() {
                 assert!(!held, "{} hints held while unlocked", entry.key);
@@ -440,11 +699,30 @@ mod tests {
 
     #[test]
     fn keys_are_unique_and_nonempty() {
-        let keys = keys();
+        let keys: Vec<&str> = all().map(|e| e.key).collect();
         assert!(keys.len() >= 15);
         let mut dedup = keys.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), keys.len());
+    }
+
+    #[test]
+    fn rw_keys_are_unique_and_prefixed() {
+        assert!(keys(View::Rw).iter().all(|k| k.starts_with("rw.")));
+        assert_eq!(keys(View::Rw).len(), keys(View::Lock).len());
+        assert!(entries(View::Rw).all(|e| e.meta.rw));
+    }
+
+    #[test]
+    fn display_names_do_not_collide_with_exclusive_ones() {
+        // `rwbench` looks names up in the rw view, then the lock view.
+        for rw in entries(View::Rw) {
+            assert!(
+                find(View::Lock, rw.meta.name).is_none(),
+                "{} shadows an exclusive display name",
+                rw.meta.name
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! Space: the underlying body plus one shared counter word — the adapter
 //! preserves the catalog entry's Table 1 character (a one-word Hemlock
 //! gate yields a two-word RW lock), at the cost of every reader arrival
-//! bouncing the gate and the counter line. [`HemlockRw`](crate::HemlockRw)
+//! bouncing the gate and the counter line. [`HemlockRw`](crate::rw::HemlockRw)
 //! trades those two shared lines for a striped indicator when read
 //! scalability matters more than body size.
 
@@ -192,9 +192,9 @@ unsafe impl<L: RawTryLock> RawTryLock for RwFromRaw<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{McsLock, TicketLock};
     use hemlock_core::hemlock::Hemlock;
     use hemlock_core::Mutex;
-    use hemlock_locks::{McsLock, TicketLock};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -204,8 +204,8 @@ mod tests {
         const { assert!(Rw::META.rw) };
         const { assert!(Rw::META.try_lock && Rw::META.abortable) };
         // A non-try gate propagates honesty.
-        const { assert!(!RwFromRaw::<hemlock_locks::ClhLock>::META.try_lock) };
-        const { assert!(!RwFromRaw::<hemlock_locks::ClhLock>::META.abortable) };
+        const { assert!(!RwFromRaw::<crate::ClhLock>::META.try_lock) };
+        const { assert!(!RwFromRaw::<crate::ClhLock>::META.abortable) };
         assert_eq!(Rw::META.name, "Hemlock");
         assert_eq!(Rw::META.thread_words, 1);
         // One-word gate + one counter word, as measured.

@@ -23,11 +23,15 @@
 //! All implement [`hemlock_core::RawLock`], so they slot into the same
 //! `Mutex<T, L>`, benchmarks, and tests as the Hemlock family.
 //!
-//! This crate also hosts the [`catalog`] — the unified registry mapping
-//! string keys (`"hemlock"`, `"mcs"`, `"clh"`, …) to lock factories and
-//! [`hemlock_core::LockMeta`] descriptors, with both dynamic
+//! The [`rw`] module adds the reader-writer locks: the native
+//! [`rw::HemlockRw`] and the [`rw::RwFromRaw`] adapter over any lock here.
+//!
+//! This crate also hosts the [`catalog`] — the one registry mapping string
+//! keys (`"hemlock"`, `"mcs"`, `"rw.mcs"`, `"async.mcs"`, …) to lock types,
+//! factories and [`hemlock_core::LockMeta`] descriptors, with one
+//! [`for_each_lock!`] row per algorithm and both dynamic
 //! ([`catalog::dyn_mutex`]) and static ([`catalog::with_lock_type`],
-//! [`for_each_lock!`]) dispatch. The `hemlock-bench` binaries resolve their
+//! [`catalog::with_timed_lock_type`]) dispatch. Every binary resolves its
 //! `--lock` arguments here.
 
 #![deny(missing_docs)]
@@ -35,7 +39,10 @@
 mod anderson;
 pub mod catalog;
 mod clh;
+mod from_raw;
+mod hemlock_rw;
 mod mcs;
+pub mod rw;
 mod tas;
 mod ticket;
 

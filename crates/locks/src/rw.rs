@@ -1,8 +1,6 @@
-//! # hemlock-rw
-//!
 //! Compact reader-writer locking for the Hemlock workspace. Read-heavy
 //! traffic is the dominant production workload, yet an exclusive lock
-//! serializes readers behind a single holder; this crate adds a *shared*
+//! serializes readers behind a single holder; this module adds a *shared*
 //! (reader) mode to the whole stack while keeping the paper's Table 1
 //! space story — small lock bodies, constant-time arrival:
 //!
@@ -21,13 +19,10 @@
 //!   their whole critical section, draining the readers first. With a FIFO
 //!   gate the admission is *phase-fair-ish*: readers that arrive while a
 //!   writer waits queue behind it, then enter together as a batch.
-//! - [`catalog`] — the `rw.*` registry: every key in the exclusive catalog
-//!   (`hemlock_locks::catalog`) gains an RW counterpart (`"rw.mcs"`,
-//!   `"rw.clh"`, …) via [`RwFromRaw`], and `"rw.hemlock"` resolves to the
-//!   native [`HemlockRw`]. Both dynamic
-//!   ([`catalog::dyn_rw_mutex`] → [`DynRwMutex`]) and static
-//!   ([`catalog::with_rw_lock_type`]) dispatch are offered, mirroring the
-//!   exclusive catalog's two styles.
+//! - The catalog gives every row an `rw.*` twin: `"rw.hemlock"` is the
+//!   native [`HemlockRw`], every other key (`"rw.mcs"`, `"rw.clh"`, …) is
+//!   [`RwFromRaw`] over that row's lock. See
+//!   [`catalog::View::Rw`](crate::catalog::View::Rw).
 //!
 //! Both locks implement [`RawRwLock`](hemlock_core::RawRwLock), so the
 //! write path doubles as a plain [`RawLock`](hemlock_core::RawLock) —
@@ -39,7 +34,7 @@
 //!
 //! ```
 //! use hemlock_core::Mutex;
-//! use hemlock_rw::HemlockRw;
+//! use hemlock_locks::rw::HemlockRw;
 //!
 //! let m: Mutex<Vec<u32>, HemlockRw> = Mutex::new(vec![1, 2, 3]);
 //! {
@@ -51,15 +46,5 @@
 //! assert_eq!(m.read().len(), 4);
 //! ```
 
-#![deny(missing_docs)]
-
-pub mod catalog;
-mod from_raw;
-mod hemlock_rw;
-
-pub use from_raw::RwFromRaw;
-pub use hemlock_rw::{HemlockRw, DEFAULT_STRIPES};
-
-// Re-exported so downstream code (and the catalog macro expansion) can name
-// the dynamic-layer pieces without a direct hemlock-core dependency.
-pub use hemlock_core::dynrw::{DynRwAdapter, DynRwLock, DynRwMutex};
+pub use crate::from_raw::RwFromRaw;
+pub use crate::hemlock_rw::{HemlockRw, DEFAULT_STRIPES};

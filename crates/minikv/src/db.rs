@@ -13,7 +13,7 @@
 //!   miss, the central mutex *briefly* — also in read mode — to snapshot
 //!   `Arc` handles to the runs, which are then searched outside any lock —
 //!   exactly LevelDB's `Get` shape. With an RW-capable lock algorithm
-//!   (`LockMeta::rw`, e.g. `hemlock_rw::HemlockRw` or any `rw.*` catalog
+//!   (`LockMeta::rw`, e.g. `hemlock_locks::rw::HemlockRw` or any `rw.*` catalog
 //!   entry) point reads of a hot shard and concurrent run snapshots are
 //!   admitted together, so the read-mostly workload no longer serializes;
 //!   exclusive-only algorithms degrade to the previous behaviour.
@@ -197,7 +197,7 @@ impl<L: RawLock> Drop for DbGuard<'_, L> {
 
 /// Shared critical section over the central mutex: a read-mode view of the
 /// run list. With an RW-capable `L` ([`hemlock_core::LockMeta`]'s `rw`
-/// bit, e.g. `hemlock_rw::HemlockRw`), concurrent readers snapshot run
+/// bit, e.g. `hemlock_locks::rw::HemlockRw`), concurrent readers snapshot run
 /// handles together and only structural transitions (freeze, compaction)
 /// exclude them; with an exclusive-only `L` this degrades to [`DbGuard`]
 /// semantics, preserving the coarse contention Figure 8 measures.
@@ -1410,17 +1410,17 @@ mod tests {
     fn concurrent_access_under_hemlock_rw() {
         // The RW lock drives both tiers: memtable probes and run snapshots
         // run in shared mode, structural transitions exclusively.
-        concurrent_readers_with_writer::<hemlock_rw::HemlockRw>();
+        concurrent_readers_with_writer::<hemlock_locks::rw::HemlockRw>();
     }
 
     #[test]
     fn concurrent_access_under_rw_adapter() {
-        concurrent_readers_with_writer::<hemlock_rw::RwFromRaw<McsLock>>();
+        concurrent_readers_with_writer::<hemlock_locks::rw::RwFromRaw<McsLock>>();
     }
 
     #[test]
     fn rw_point_reads_share_the_run_snapshot() {
-        use hemlock_rw::HemlockRw;
+        use hemlock_locks::rw::HemlockRw;
         let db: Arc<Db<HemlockRw>> = Arc::new(Db::new(tiny_opts()));
         for i in 0..300u32 {
             db.put(format!("key{i:05}").as_bytes(), &i.to_be_bytes());

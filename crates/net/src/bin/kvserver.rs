@@ -12,7 +12,7 @@
 //! loadgen  --addr 127.0.0.1:7878 --conns 64 --pipeline 8
 //! ```
 
-use hemlock_async::catalog::{self, AsyncCatalogEntry, AsyncLockVisitor};
+use hemlock_async::catalog::{self, CatalogEntry, TimedLockVisitor, View};
 use hemlock_core::raw::RawTryLock;
 use hemlock_harness::executor::TaskPool;
 use hemlock_harness::Spec;
@@ -25,9 +25,9 @@ use std::time::Duration;
 /// dispatches to.
 struct MakeDb;
 
-impl AsyncLockVisitor for MakeDb {
+impl TimedLockVisitor for MakeDb {
     type Output = Arc<dyn AsyncKv>;
-    fn visit<L: RawTryLock + 'static>(self, _entry: &'static AsyncCatalogEntry) -> Self::Output {
+    fn visit<L: RawTryLock + 'static>(self, _entry: &'static CatalogEntry) -> Self::Output {
         Arc::new(Db::<L>::new(Options::default())).into_async_kv()
     }
 }
@@ -114,15 +114,9 @@ fn main() {
         hemlock_obs::trace::set_sampling(trace_every, args.get("trace-seed", 0u64));
     }
 
-    let entry = catalog::find(&lock_key).unwrap_or_else(|| {
-        eprintln!(
-            "error: unknown async lock {lock_key:?}; known async locks: {}",
-            catalog::keys().join(", ")
-        );
-        std::process::exit(2);
-    });
-    let kv = catalog::with_async_lock_type(entry.key, MakeDb)
-        .expect("async catalog entries always dispatch");
+    let entry = or_exit(catalog::lookup(View::Async, &lock_key));
+    let kv =
+        catalog::with_timed_lock_type(entry, MakeDb).expect("async entries are trylock-capable");
 
     let pool = Arc::new(TaskPool::new(workers.max(1)));
     let server =

@@ -142,8 +142,8 @@ mod proptests {
 mod combining_proptests {
     use crate::batch::{TableOp, TableResult};
     use crate::ShardedTable;
-    use hemlock_async::catalog::{AsyncCatalogEntry, AsyncLockVisitor};
     use hemlock_core::raw::RawTryLock;
+    use hemlock_locks::catalog::{self, CatalogEntry, TimedLockVisitor, View};
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::future::Future;
@@ -179,9 +179,9 @@ mod combining_proptests {
         cancel: Vec<BOp>,
     }
 
-    impl AsyncLockVisitor for &Case {
+    impl TimedLockVisitor for &Case {
         type Output = ();
-        fn visit<L: RawTryLock + 'static>(self, _e: &'static AsyncCatalogEntry) -> Self::Output {
+        fn visit<L: RawTryLock + 'static>(self, _e: &'static CatalogEntry) -> Self::Output {
             run_case::<L>(self);
         }
     }
@@ -321,9 +321,9 @@ mod combining_proptests {
             cancel in proptest::collection::vec(bop(), 1..12),
         ) {
             let case = Case { shards, batch, point, cancel };
-            for entry in hemlock_async::catalog::ENTRIES {
-                hemlock_async::catalog::with_async_lock_type(entry.key, &case)
-                    .expect("catalog key dispatches");
+            for entry in catalog::entries(View::Async) {
+                catalog::with_timed_lock_type(entry, &case)
+                    .expect("async entries are trylock-capable");
             }
         }
     }

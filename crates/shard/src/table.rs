@@ -13,7 +13,7 @@
 //! Read-only operations ([`ShardedTable::get`], [`ShardedTable::with`],
 //! [`ShardedTable::contains_key`], iteration, sizing) take the shard in
 //! *read* mode via [`RawLock::read_lock`]: with an RW-capable algorithm
-//! (`LockMeta::rw`, e.g. `hemlock_rw::HemlockRw` or any `rw.*` catalog
+//! (`LockMeta::rw`, e.g. `hemlock_locks::rw::HemlockRw` or any `rw.*` catalog
 //! entry) readers of a hot shard are admitted concurrently and only
 //! writers serialize; with an exclusive-only algorithm the read mode
 //! degrades to the ordinary lock, so nothing changes for existing users.
@@ -1209,7 +1209,7 @@ mod tests {
 
     #[test]
     fn rw_lock_admits_concurrent_readers_of_one_shard() {
-        use hemlock_rw::HemlockRw;
+        use hemlock_locks::rw::HemlockRw;
         // One shard: every key contends on the same lock, so a concurrent
         // reader completing while we hold a read guard proves sharing.
         let t: ShardedTable<u32, u32, HemlockRw> = ShardedTable::with_shards(1);

@@ -12,7 +12,7 @@
 //! | [`wakerset`] | `hemlock-core::wakerset` Dekker pair | `wakerset-dekker` |
 //! | [`wakerqueue`] | `hemlock-async::queue` grant/cancel | `wakerqueue` |
 //! | [`twoshard`] | `hemlock-shard::table::with_two` | `with-two-ordered` |
-//! | [`rw`] | `hemlock-rw::hemlock_rw` drain/withdrawal | `hemlock-rw` |
+//! | [`rw`] | `hemlock-locks::rw::HemlockRw` drain/withdrawal | `hemlock-rw` |
 //! | [`fc`] | `hemlock-shard::batch` record lifecycle | `flat-combining` |
 
 pub mod fc;

@@ -1,5 +1,5 @@
 //! Model of `HemlockRw`'s writer-preference drain/withdrawal protocol
-//! (`hemlock-rw::hemlock_rw`).
+//! (`hemlock_locks::rw::HemlockRw`).
 //!
 //! The real lock: a writer takes the internal writer mutex, raises the
 //! writer flag, then drains every read-indicator stripe to zero; a reader

@@ -6,14 +6,16 @@
 //!
 //! - [`hemlock_core`] — the Hemlock lock family (the paper's contribution),
 //!   plus the typed core (`RawLock` + `LockMeta`) and the object-safe
-//!   dynamic layer (`DynLock` / `DynMutex`, `DynRwLock` / `DynRwMutex`) of
+//!   dynamic layer (`DynLock` / `DynMutex`, exclusive and shared modes) of
 //!   the three-layer lock API.
 //! - [`hemlock_locks`] — MCS / CLH / Ticket / TAS / TTAS / Anderson
-//!   baselines, and the unified catalog (`hemlock_locks::catalog`) mapping
-//!   string keys to every algorithm for runtime selection (`--lock`).
-//! - [`hemlock_rw`] — the reader-writer subsystem: native `HemlockRw`
-//!   (striped read-indicator over the grant protocol), the `RwFromRaw`
-//!   adapter, and the `rw.*` catalog.
+//!   baselines; the reader-writer locks ([`rw`]: native `HemlockRw`, a
+//!   striped read-indicator over the grant protocol, and the `RwFromRaw`
+//!   adapter); and the one lock catalog (`hemlock_locks::catalog`) mapping
+//!   string keys — exclusive, `rw.*` and `async.*` — to every algorithm
+//!   for runtime selection (`--lock`).
+//! - [`hemlock_async`] — waker-parking async locks over the catalog's
+//!   asyncable rows.
 //! - [`hemlock_shard`] — the sharded lock-table subsystem
 //!   (`ShardedTable`, `ShardedCounter`).
 //! - [`hemlock_simlock`] — lock algorithms as deterministic state machines.
@@ -30,9 +32,9 @@ pub use hemlock_coherence as coherence;
 pub use hemlock_core as core;
 pub use hemlock_harness as harness;
 pub use hemlock_locks as locks;
+pub use hemlock_locks::rw;
 pub use hemlock_minikv as minikv;
 pub use hemlock_model as model;
 pub use hemlock_net as net;
-pub use hemlock_rw as rw;
 pub use hemlock_shard as shard;
 pub use hemlock_simlock as simlock;

@@ -2,75 +2,39 @@
 //! through the lock catalog's API.
 
 use super::Resolved;
-use hemlock_core::meta::LockMeta;
-use hemlock_core::raw::{RawLock, RawTryLock};
+use hemlock_core::raw::RawLock;
+use hemlock_locks::catalog::{self, CatalogEntry, LockVisitor, View};
 
 struct SizeOf;
 
-impl hemlock_locks::catalog::LockVisitor for SizeOf {
+impl LockVisitor for SizeOf {
     type Output = usize;
-    fn visit<L: RawLock + 'static>(
-        self,
-        _: &'static hemlock_locks::catalog::CatalogEntry,
-    ) -> usize {
+    fn visit<L: RawLock + 'static>(self, _: &'static CatalogEntry) -> usize {
         core::mem::size_of::<L>()
     }
 }
 
-impl hemlock_rw::catalog::RwLockVisitor for SizeOf {
-    type Output = usize;
-    fn visit<L: RawLock + 'static>(self, _: LockMeta) -> usize {
-        core::mem::size_of::<L>()
-    }
-}
-
-impl hemlock_async::catalog::AsyncLockVisitor for SizeOf {
-    type Output = usize;
-    fn visit<L: RawTryLock + 'static>(
-        self,
-        _: &'static hemlock_async::catalog::AsyncCatalogEntry,
-    ) -> usize {
-        core::mem::size_of::<L>()
-    }
-}
-
-fn resolved(key: &'static str, meta: LockMeta, size: usize) -> Resolved {
-    Resolved {
-        key,
-        display: meta.name,
-        size,
-        try_lock: meta.try_lock,
-        abortable: meta.abortable,
-        rw: meta.rw,
+fn view_of(view: &str) -> View {
+    match view {
+        "lock" => View::Lock,
+        "rw" => View::Rw,
+        "async" => View::Async,
+        _ => unreachable!("unknown view {view}"),
     }
 }
 
 pub(super) fn resolve(view: &str, name: &str) -> Option<Resolved> {
-    match view {
-        "lock" => {
-            let e = hemlock_locks::catalog::find(name)?;
-            let size = hemlock_locks::catalog::with_lock_type(name, SizeOf)?;
-            Some(resolved(e.key, e.meta, size))
-        }
-        "rw" => {
-            let e = hemlock_rw::catalog::find(name)?;
-            let size = hemlock_rw::catalog::with_rw_lock_type(name, SizeOf)?;
-            Some(resolved(e.key, e.meta, size))
-        }
-        "async" => {
-            let e = hemlock_async::catalog::find(name)?;
-            let size = hemlock_async::catalog::with_async_lock_type(name, SizeOf)?;
-            Some(resolved(e.key, e.meta, size))
-        }
-        _ => unreachable!("unknown view {view}"),
-    }
+    let e = catalog::find(view_of(view), name)?;
+    Some(Resolved {
+        key: e.key,
+        display: e.meta.name,
+        size: catalog::with_lock_type(e, SizeOf),
+        try_lock: e.meta.try_lock,
+        abortable: e.meta.abortable,
+        rw: e.meta.rw,
+    })
 }
 
 pub(super) fn keys(view: &str) -> Vec<&'static str> {
-    match view {
-        "lock" => hemlock_locks::catalog::keys(),
-        "rw" => hemlock_rw::catalog::keys(),
-        "async" => hemlock_async::catalog::keys(),
-        _ => unreachable!("unknown view {view}"),
-    }
+    catalog::keys(view_of(view))
 }

@@ -1,9 +1,9 @@
-//! Conformance suite for the dynamic layer: every entry in the unified
-//! catalog must behave identically through `DynMutex` as its static
-//! counterpart does through `Mutex<T, L>`, and its advertised [`LockMeta`]
-//! must be truthful.
+//! Conformance suite for the dynamic layer: every entry in the catalog
+//! must behave identically through `DynMutex` as its static counterpart
+//! does through `Mutex<T, L>`, and its advertised [`LockMeta`] must be
+//! truthful.
 //!
-//! Checks, per catalog entry:
+//! Checks, per exclusive entry (`View::Lock`):
 //!
 //! - **mutual exclusion** — concurrent increments and an overlap detector
 //!   through the type-erased handle;
@@ -19,22 +19,22 @@
 //!   counter oracle and an overlap detector;
 //! - **guard drop on panic** — unwinding out of a critical section must
 //!   release the lock;
-//! - **metadata fidelity** — the entry's meta equals the static type's
+//! - **metadata fidelity** — every entry's meta equals its static type's
 //!   `META` (via `for_each_lock!`), the `dyn` handle reports the same, and
 //!   the declared body size matches the measured `size_of`.
 //!
-//! A parallel pass walks the **RW catalog** (`hemlock_rw::catalog`,
-//! `rw.*` keys) through `DynRwMutex`: readers coexist, the writer excludes
-//! readers and writers alike, no updates are lost under a mixed
-//! reader/writer schedule, and every entry's metadata stays truthful
-//! (rw bit set, body words = measured size, display name patched).
+//! A parallel pass walks the **`rw.*` view** through `DynMutex`'s shared
+//! mode: readers coexist, the writer excludes readers and writers alike,
+//! no updates are lost under a mixed reader/writer schedule, and the
+//! timed paths match the advertised capability. A third pass walks the
+//! **`async.*` view** through `DynAsyncMutex`.
+//!
+//! [`LockMeta`]: hemlock_core::LockMeta
 
 use hemlock_core::dynlock::TryLockError;
 use hemlock_core::raw::RawLock;
-use hemlock_core::{DynMutex, DynRwMutex};
-use hemlock_locks::catalog::{self, CatalogEntry};
-use hemlock_rw::catalog as rw_catalog;
-use hemlock_rw::catalog::RwCatalogEntry;
+use hemlock_core::DynMutex;
+use hemlock_locks::catalog::{self, CatalogEntry, View};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn dyn_mutex_for(entry: &CatalogEntry) -> DynMutex<u64> {
@@ -43,12 +43,12 @@ fn dyn_mutex_for(entry: &CatalogEntry) -> DynMutex<u64> {
 
 #[test]
 fn catalog_is_populated() {
-    assert!(catalog::ENTRIES.len() >= 15);
+    assert!(catalog::keys(View::Lock).len() >= 15);
 }
 
 #[test]
 fn mutual_exclusion_through_dyn_mutex() {
-    for entry in catalog::ENTRIES {
+    for entry in catalog::entries(View::Lock) {
         let m = dyn_mutex_for(entry);
         let in_cs = AtomicBool::new(false);
         std::thread::scope(|s| {
@@ -75,7 +75,7 @@ fn mutual_exclusion_through_dyn_mutex() {
 
 #[test]
 fn trylock_semantics_match_the_advertised_capability() {
-    for entry in catalog::ENTRIES {
+    for entry in catalog::entries(View::Lock) {
         let m = dyn_mutex_for(entry);
         if entry.meta.try_lock {
             // Uncontended: must acquire and really confer ownership.
@@ -112,7 +112,7 @@ fn trylock_semantics_match_the_advertised_capability() {
 #[test]
 fn timeout_semantics_match_the_advertised_capability() {
     use std::time::{Duration, Instant};
-    for entry in catalog::ENTRIES {
+    for entry in catalog::entries(View::Lock) {
         let m = dyn_mutex_for(entry);
         if entry.meta.abortable {
             // Uncontended: the timed path must acquire and confer
@@ -176,7 +176,7 @@ fn aborted_waiters_never_acquire_and_never_double_grant() {
     // timed waiters' aborts; when it finally releases, exactly one new
     // acquisition succeeds, and the aborted waiters' attempts can never
     // surface as ownership later.
-    for entry in catalog::ENTRIES.iter().filter(|e| e.meta.abortable) {
+    for entry in catalog::abortable() {
         let m = dyn_mutex_for(entry);
         let g = m.lock();
         std::thread::scope(|s| {
@@ -216,7 +216,7 @@ fn aborted_waiters_never_acquire_and_never_double_grant() {
 
 #[test]
 fn guard_drop_releases_on_panic() {
-    for entry in catalog::ENTRIES {
+    for entry in catalog::entries(View::Lock) {
         let m = dyn_mutex_for(entry);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut g = m.lock();
@@ -231,7 +231,7 @@ fn guard_drop_releases_on_panic() {
 
 #[test]
 fn dyn_handles_report_the_entry_meta() {
-    for entry in catalog::ENTRIES {
+    for entry in catalog::entries(View::Lock) {
         let lock = (entry.make)();
         assert_eq!(lock.meta(), entry.meta, "{}", entry.key);
         let m = dyn_mutex_for(entry);
@@ -241,26 +241,11 @@ fn dyn_handles_report_the_entry_meta() {
 
 // ---------------------------------------------------------------- RW pass
 
-fn dyn_rw_mutex_for(entry: &RwCatalogEntry) -> DynRwMutex<u64> {
-    DynRwMutex::new((entry.make)(), 0)
-}
-
-#[test]
-fn rw_catalog_mirrors_the_exclusive_catalog() {
-    assert_eq!(rw_catalog::ENTRIES.len(), catalog::ENTRIES.len());
-    for entry in catalog::ENTRIES {
-        let rw_key = format!("rw.{}", entry.key);
-        let rw = rw_catalog::find(&rw_key)
-            .unwrap_or_else(|| panic!("no RW counterpart for {}", entry.key));
-        assert!(rw.meta.rw, "{rw_key}");
-    }
-}
-
 #[test]
 fn readers_coexist_through_dyn_rw_mutex() {
-    for entry in rw_catalog::ENTRIES {
-        let m = dyn_rw_mutex_for(entry);
-        *m.write() = 9;
+    for entry in catalog::entries(View::Rw) {
+        let m = dyn_mutex_for(entry);
+        *m.lock() = 9;
         let held = m.read();
         // A second reader on another thread must be admitted while the
         // main thread's guard is still alive — completion proves sharing.
@@ -278,11 +263,11 @@ fn readers_coexist_through_dyn_rw_mutex() {
 
 #[test]
 fn writer_excludes_all_through_dyn_rw_mutex() {
-    for entry in rw_catalog::ENTRIES {
-        let m = dyn_rw_mutex_for(entry);
+    for entry in catalog::entries(View::Rw) {
+        let m = dyn_mutex_for(entry);
         let writer_in = AtomicBool::new(false);
         let started = AtomicUsize::new(0);
-        let mut g = m.write();
+        let mut g = m.lock();
         std::thread::scope(|s| {
             let spawn_probe = |as_reader: bool| {
                 let m = &m;
@@ -295,7 +280,7 @@ fn writer_excludes_all_through_dyn_rw_mutex() {
                         assert!(!writer_in.load(Ordering::Acquire), "reader/writer overlap");
                         drop(g);
                     } else {
-                        let g = m.write();
+                        let g = m.lock();
                         assert!(!writer_in.load(Ordering::Acquire), "writer/writer overlap");
                         drop(g);
                     }
@@ -319,14 +304,14 @@ fn writer_excludes_all_through_dyn_rw_mutex() {
 
 #[test]
 fn no_lost_updates_under_mixed_rw_traffic() {
-    for entry in rw_catalog::ENTRIES {
-        let m = dyn_rw_mutex_for(entry);
+    for entry in catalog::entries(View::Rw) {
+        let m = dyn_mutex_for(entry);
         std::thread::scope(|s| {
             for _ in 0..2 {
                 let m = &m;
                 s.spawn(move || {
                     for _ in 0..1_000 {
-                        *m.write() += 1;
+                        *m.lock() += 1;
                     }
                 });
             }
@@ -348,10 +333,10 @@ fn no_lost_updates_under_mixed_rw_traffic() {
 
 #[test]
 fn rw_read_guard_and_write_guard_release_on_panic() {
-    for entry in rw_catalog::ENTRIES {
-        let m = dyn_rw_mutex_for(entry);
+    for entry in catalog::entries(View::Rw) {
+        let m = dyn_mutex_for(entry);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut g = m.write();
+            let mut g = m.lock();
             *g = 7;
             panic!("inside write critical section");
         }));
@@ -363,7 +348,7 @@ fn rw_read_guard_and_write_guard_release_on_panic() {
         }));
         assert!(r.is_err());
         // Both guards released during unwinding: a writer gets in again.
-        *m.write() += 1;
+        *m.lock() += 1;
         assert_eq!(*m.read(), 8, "{}", entry.key);
     }
 }
@@ -371,11 +356,11 @@ fn rw_read_guard_and_write_guard_release_on_panic() {
 #[test]
 fn rw_timed_semantics_match_the_advertised_capability() {
     use std::time::Duration;
-    for entry in rw_catalog::ENTRIES {
-        let m = dyn_rw_mutex_for(entry);
+    for entry in catalog::entries(View::Rw) {
+        let m = dyn_mutex_for(entry);
         if entry.meta.abortable {
             // Free: both timed modes acquire.
-            *m.try_write_for(Duration::from_millis(10))
+            *m.try_lock_for(Duration::from_millis(10))
                 .unwrap_or_else(|e| panic!("{}: free timed write failed: {e}", entry.key)) = 3;
             {
                 // Timed readers coexist with a blocking reader.
@@ -386,7 +371,7 @@ fn rw_timed_semantics_match_the_advertised_capability() {
                 assert_eq!((*held, *r), (3, 3), "{}", entry.key);
                 // A timed writer must give up behind the readers…
                 assert_eq!(
-                    m.try_write_for(Duration::from_millis(15))
+                    m.try_lock_for(Duration::from_millis(15))
                         .map(|_| ())
                         .unwrap_err(),
                     TryLockError::TimedOut,
@@ -397,7 +382,7 @@ fn rw_timed_semantics_match_the_advertised_capability() {
             // …and its abort must leave the lock fully usable: writer in,
             // then a timed reader times out behind it, then both recover.
             let w = m
-                .try_write_for(Duration::from_millis(20))
+                .try_lock_for(Duration::from_millis(20))
                 .expect("free after aborts");
             assert_eq!(
                 m.try_read_for(Duration::from_millis(10))
@@ -419,7 +404,7 @@ fn rw_timed_semantics_match_the_advertised_capability() {
                 entry.key
             );
             assert_eq!(
-                m.try_write_for(Duration::from_millis(5))
+                m.try_lock_for(Duration::from_millis(5))
                     .map(|_| ())
                     .unwrap_err(),
                 TryLockError::Unsupported,
@@ -427,7 +412,7 @@ fn rw_timed_semantics_match_the_advertised_capability() {
                 entry.key
             );
             // The blocking paths are unaffected.
-            *m.write() += 1;
+            *m.lock() += 1;
             drop(m.read());
         }
     }
@@ -435,45 +420,14 @@ fn rw_timed_semantics_match_the_advertised_capability() {
 
 #[test]
 fn dyn_rw_handles_report_the_entry_meta() {
-    for entry in rw_catalog::ENTRIES {
+    for entry in catalog::entries(View::Rw) {
         let lock = (entry.make)();
         assert_eq!(lock.meta(), entry.meta, "{}", entry.key);
-        let m = dyn_rw_mutex_for(entry);
+        let m = dyn_mutex_for(entry);
         assert_eq!(m.meta(), entry.meta, "{}", entry.key);
         assert!(m.meta().rw, "{}", entry.key);
     }
 }
-
-macro_rules! rw_static_meta_checks {
-    ($(($key:literal, $display:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// The RW catalog's meta is the static type's `META` with the
-        /// display name patched, and the declared body size is measured.
-        #[test]
-        fn rw_catalog_meta_matches_static_counterparts() {
-            $(
-                let entry = rw_catalog::find($key)
-                    .unwrap_or_else(|| panic!("rw catalog lost key {}", $key));
-                let mut expected = <$ty as RawLock>::META;
-                expected.name = $display;
-                assert_eq!(entry.meta, expected, "{}", $key);
-                assert_eq!(
-                    entry.meta.lock_words,
-                    core::mem::size_of::<$ty>().div_ceil(core::mem::size_of::<usize>()),
-                    "{}: LockMeta.lock_words disagrees with size_of",
-                    $key
-                );
-                $(
-                    assert_eq!(
-                        rw_catalog::find($alias).map(|e| e.key),
-                        Some($key),
-                        "alias {} must resolve to {}", $alias, $key
-                    );
-                )*
-            )+
-        }
-    };
-}
-hemlock_rw::for_each_rw_lock!(rw_static_meta_checks);
 
 // ------------------------------------------------------- abort proptests
 
@@ -572,7 +526,7 @@ mod abort_mix {
             ops in proptest::collection::vec(
                 proptest::collection::vec(op_strategy(), 0..24), 1..4)
         ) {
-            for entry in catalog::ENTRIES.iter().filter(|e| e.meta.abortable) {
+            for entry in catalog::abortable() {
                 run_mix(entry, &ops);
             }
         }
@@ -582,16 +536,15 @@ mod abort_mix {
 // ---------------------------------------------------------- async pass
 
 mod async_pass {
-    //! Conformance for the **async catalog** (`hemlock_async::catalog`,
-    //! `async.*` keys) through `DynAsyncMutex`: mutual exclusion under
+    //! Conformance for the catalog's **`async.*` view** through
+    //! `DynAsyncMutex`: mutual exclusion under
     //! task contention, truthful metadata, and — the property the
     //! subsystem is built around — **cancellation is an abort**: a
     //! dropped pending lock future never acquires afterwards and leaves
     //! no queue state, while every surviving waiter still gets its wakeup.
 
     use super::*;
-    use hemlock_async::catalog as async_catalog;
-    use hemlock_async::catalog::AsyncCatalogEntry;
+    use hemlock_async::catalog::dyn_async_mutex;
     use hemlock_async::DynAsyncMutex;
     use hemlock_harness::executor::{block_on, TaskPool};
     use proptest::prelude::*;
@@ -601,33 +554,18 @@ mod async_pass {
     use std::sync::Arc;
     use std::task::{Context, Poll};
 
-    fn dyn_async_mutex_for(entry: &AsyncCatalogEntry) -> DynAsyncMutex<u64> {
-        DynAsyncMutex::new((entry.make)(), 0)
-    }
-
-    #[test]
-    fn async_catalog_mirrors_the_abortable_subset() {
-        let abortable = catalog::abortable();
-        assert_eq!(async_catalog::ENTRIES.len(), abortable.len());
-        for entry in &abortable {
-            let key = format!("async.{}", entry.key);
-            let a = async_catalog::find(&key)
-                .unwrap_or_else(|| panic!("no async counterpart for {}", entry.key));
-            assert_eq!(a.meta, entry.meta, "{key}");
-            assert!(a.meta.asyncable, "{key}");
-        }
-        assert!(async_catalog::find("async.clh").is_none());
-        assert!(async_catalog::find("async.anderson").is_none());
+    fn dyn_async_mutex_for(entry: &CatalogEntry) -> DynAsyncMutex<u64> {
+        dyn_async_mutex(entry.key, 0).expect("async entries build async handles")
     }
 
     #[test]
     fn exclusive_catalog_asyncable_bit_is_truthful() {
-        // asyncable == abortable everywhere, and exactly the asyncable
-        // entries have an async.* key.
-        for entry in catalog::ENTRIES {
+        // asyncable == abortable everywhere, and the async view holds
+        // exactly the asyncable rows.
+        for entry in catalog::entries(View::Lock) {
             assert_eq!(entry.meta.asyncable, entry.meta.abortable, "{}", entry.key);
             assert_eq!(
-                async_catalog::find(&format!("async.{}", entry.key)).is_some(),
+                catalog::find(View::Async, &format!("async.{}", entry.key)).is_some(),
                 entry.meta.asyncable,
                 "{}",
                 entry.key
@@ -637,7 +575,7 @@ mod async_pass {
 
     #[test]
     fn mutual_exclusion_through_dyn_async_mutex() {
-        for entry in async_catalog::ENTRIES {
+        for entry in catalog::entries(View::Async) {
             let pool = TaskPool::new(3);
             let m = Arc::new(dyn_async_mutex_for(entry));
             let in_cs = Arc::new(AtomicBool::new(false));
@@ -669,9 +607,7 @@ mod async_pass {
 
     #[test]
     fn dyn_async_handles_report_the_entry_meta() {
-        for entry in async_catalog::ENTRIES {
-            let lock = (entry.make)();
-            assert_eq!(lock.meta(), entry.meta, "{}", entry.key);
+        for entry in catalog::entries(View::Async) {
             let m = dyn_async_mutex_for(entry);
             assert_eq!(m.meta(), entry.meta, "{}", entry.key);
         }
@@ -679,7 +615,7 @@ mod async_pass {
 
     #[test]
     fn cancelled_parked_futures_never_acquire_and_release_flows_on() {
-        for entry in async_catalog::ENTRIES {
+        for entry in catalog::entries(View::Async) {
             let m = dyn_async_mutex_for(entry);
             let held = m.try_lock().expect("free");
             // Park three futures, then cancel the middle one.
@@ -740,7 +676,7 @@ mod async_pass {
         }
     }
 
-    fn run_cancel_mix(entry: &'static AsyncCatalogEntry, ops: &[Vec<bool>]) {
+    fn run_cancel_mix(entry: &'static CatalogEntry, ops: &[Vec<bool>]) {
         let pool = TaskPool::new(3);
         let m = Arc::new(dyn_async_mutex_for(entry));
         let in_cs = Arc::new(AtomicBool::new(false));
@@ -803,38 +739,79 @@ mod async_pass {
             ops in proptest::collection::vec(
                 proptest::collection::vec(proptest::any::<bool>(), 0..24), 1..5)
         ) {
-            for entry in async_catalog::ENTRIES {
+            for entry in catalog::entries(View::Async) {
                 run_cancel_mix(entry, &ops);
             }
         }
     }
 }
 
+/// Checks one entry against its static type: the meta is the type's
+/// `META` but for the display name, the declared body size is the measured
+/// body size, and every alias resolves to the entry.
+fn check_static<L: RawLock>(view: View, key: &str, aliases: &[&str]) -> &'static CatalogEntry {
+    let entry = catalog::find(view, key).unwrap_or_else(|| panic!("catalog lost key {key}"));
+    let mut expected = L::META;
+    expected.name = entry.meta.name;
+    assert_eq!(entry.meta, expected, "{key}");
+    // Declared body words = measured size, rounded up to whole words
+    // (TAS/TTAS bodies are a single byte).
+    assert_eq!(
+        entry.meta.lock_words,
+        core::mem::size_of::<L>().div_ceil(core::mem::size_of::<usize>()),
+        "{key}: LockMeta.lock_words disagrees with size_of"
+    );
+    for alias in aliases {
+        assert_eq!(
+            catalog::find(view, alias).map(|e| e.key),
+            Some(entry.key),
+            "alias {alias} must resolve to {key}"
+        );
+    }
+    entry
+}
+
 macro_rules! static_meta_checks {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-        /// The catalog's meta is byte-for-byte the static type's `META`,
-        /// and the declared body size is the measured body size.
+    ($((
+        $key:literal, [$($alias:literal),*], $ty:ty, $cap:ident,
+        $rw:ty, [$($rw_alias:literal),*], [$($async_alias:literal),*]
+    )),+ $(,)?) => {
+        /// The catalog's meta is byte-for-byte the static type's `META`.
         #[test]
         fn catalog_meta_matches_static_counterparts() {
             $(
-                let entry = catalog::find($key)
-                    .unwrap_or_else(|| panic!("catalog lost key {}", $key));
+                let entry = check_static::<$ty>(View::Lock, $key, &[$($alias),*]);
                 assert_eq!(entry.meta, <$ty as RawLock>::META, "{}", $key);
-                // Declared body words = measured size, rounded up to whole
-                // words (TAS/TTAS bodies are a single byte).
-                assert_eq!(
-                    entry.meta.lock_words,
-                    core::mem::size_of::<$ty>().div_ceil(core::mem::size_of::<usize>()),
-                    "{}: LockMeta.lock_words disagrees with size_of",
-                    $key
-                );
-                $(
-                    assert_eq!(
-                        catalog::find($alias).map(|e| e.key),
-                        Some($key),
-                        "alias {} must resolve to {}", $alias, $key
+            )+
+        }
+
+        /// An `rw.` twin reports its type's `META`, renamed `RW-<name>`
+        /// when the type inherits its gate's name.
+        #[test]
+        fn rw_catalog_meta_matches_static_counterparts() {
+            $(
+                let entry = check_static::<$rw>(View::Rw, concat!("rw.", $key), &[$($rw_alias),*]);
+                let (gate, twin) = (<$ty as RawLock>::META.name, <$rw as RawLock>::META.name);
+                if twin == gate {
+                    assert_eq!(entry.meta.name, format!("RW-{gate}"), "{}", $key);
+                } else {
+                    assert_eq!(entry.meta.name, twin, "{}", $key);
+                }
+            )+
+        }
+
+        /// An `async.` entry reports its row's `META` unchanged.
+        #[test]
+        fn async_catalog_meta_matches_static_counterparts() {
+            $(
+                if <$ty as RawLock>::META.asyncable {
+                    let entry = check_static::<$ty>(
+                        View::Async,
+                        concat!("async.", $key),
+                        &[$($async_alias),*],
                     );
-                )*
+                    assert_eq!(entry.meta, <$ty as RawLock>::META, "{}", $key);
+                }
             )+
         }
     };

@@ -161,30 +161,27 @@ mod rw_conformance {
     }
 
     macro_rules! rw_conformance_tests {
-        ($(($key:literal, $display:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
-            $(rw_conformance_tests!(@one $key, $ty);)+
-
+        ($(($key:literal, $aliases:tt, $ty:ty, $cap:ident, $rw:ty, $($rest:tt)*)),+ $(,)?) => {
             #[test]
             fn write_path_counter_torture_and_overlap() {
                 $(
-                    super::counter_torture::<$ty>(4, 5_000);
-                    super::overlap_detector::<$ty>(4, 2_000);
+                    super::counter_torture::<$rw>(4, 5_000);
+                    super::overlap_detector::<$rw>(4, 2_000);
                 )+
             }
 
             #[test]
             fn readers_coexist_for_every_rw_entry() {
-                $(readers_coexist::<$ty>($key);)+
+                $(readers_coexist::<$rw>(concat!("rw.", $key));)+
             }
 
             #[test]
             fn writer_excludes_readers_for_every_rw_entry() {
-                $(writer_excludes_readers::<$ty>($key);)+
+                $(writer_excludes_readers::<$rw>(concat!("rw.", $key));)+
             }
         };
-        (@one $key:literal, $ty:ty) => {};
     }
-    hemlock_rw::for_each_rw_lock!(rw_conformance_tests);
+    hemlock_locks::for_each_lock!(rw_conformance_tests);
 
     /// One schedule step: `Some(delta)` = write `+= delta`, `None` = a
     /// read-read consistency probe (the shim has no `option::of`, so the
@@ -203,11 +200,11 @@ mod rw_conformance {
             proptest::collection::vec(rw_op(), 0..48), 1..4)) {
             let expected: i64 = ops.iter().flatten().flatten().sum();
             prop_assert_eq!(
-                run_rw_schedule::<hemlock_rw::HemlockRw>(&ops), expected);
+                run_rw_schedule::<hemlock_locks::rw::HemlockRw>(&ops), expected);
             prop_assert_eq!(
-                run_rw_schedule::<hemlock_rw::RwFromRaw<McsLock>>(&ops), expected);
+                run_rw_schedule::<hemlock_locks::rw::RwFromRaw<McsLock>>(&ops), expected);
             prop_assert_eq!(
-                run_rw_schedule::<hemlock_rw::RwFromRaw<ClhLock>>(&ops), expected);
+                run_rw_schedule::<hemlock_locks::rw::RwFromRaw<ClhLock>>(&ops), expected);
         }
     }
 }

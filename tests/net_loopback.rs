@@ -9,7 +9,7 @@
 //! unflushed. The test returning at all proves no task leaked —
 //! `shutdown` joins the acceptor thread and every per-connection task.
 
-use hemlock_async::catalog::{self, AsyncCatalogEntry, AsyncLockVisitor};
+use hemlock_async::catalog::{self, CatalogEntry, TimedLockVisitor, View};
 use hemlock_core::raw::RawTryLock;
 use hemlock_harness::executor::TaskPool;
 use hemlock_harness::reactor::Reactor;
@@ -33,9 +33,9 @@ struct Spawn<'a> {
     opts: ServerOptions,
 }
 
-impl AsyncLockVisitor for Spawn<'_> {
+impl TimedLockVisitor for Spawn<'_> {
     type Output = ServerHandle;
-    fn visit<L: RawTryLock + 'static>(self, _entry: &'static AsyncCatalogEntry) -> ServerHandle {
+    fn visit<L: RawTryLock + 'static>(self, _entry: &'static CatalogEntry) -> ServerHandle {
         let kv: Arc<dyn AsyncKv> = Arc::new(Db::<L>::new(tiny_opts())).into_async_kv();
         spawn_server_with(self.pool, kv, "127.0.0.1:0".parse().unwrap(), self.opts)
             .expect("bind loopback")
@@ -109,9 +109,10 @@ fn round_trips_and_graceful_shutdown_under_every_async_lock() {
     let pool = Arc::new(TaskPool::new(2));
     for combine in [true, false] {
         let opts = ServerOptions { combine };
-        for key in catalog::keys() {
-            let server = catalog::with_async_lock_type(key, Spawn { pool: &pool, opts })
-                .expect("catalog key dispatches");
+        for entry in catalog::entries(View::Async) {
+            let key = entry.key;
+            let server = catalog::with_timed_lock_type(entry, Spawn { pool: &pool, opts })
+                .expect("async entries are trylock-capable");
             let responses = drive(server.local_addr(), key);
             let stats = server.shutdown();
             assert_eq!(
@@ -137,14 +138,14 @@ fn sixty_four_pipelined_connections_survive_shutdown_accounting() {
     const PIPELINE: usize = 8;
 
     let server_pool = Arc::new(TaskPool::new(4));
-    let server = catalog::with_async_lock_type(
-        "async.hemlock",
+    let server = catalog::with_timed_lock_type(
+        catalog::find(View::Async, "async.hemlock").expect("async.hemlock is in the catalog"),
         Spawn {
             pool: &server_pool,
             opts: ServerOptions::default(),
         },
     )
-    .expect("async.hemlock is in the catalog");
+    .expect("async entries are trylock-capable");
     let addr = server.local_addr();
 
     // Drive the clients from their own pool so 64 connections need only

@@ -83,7 +83,7 @@ fn guard_drop_on_panic<L: RawLock + 'static>(key: &str) {
 }
 
 macro_rules! gen_shard_suite {
-    ($(($key:literal, [$($alias:literal),*], $ty:ty, $cap:ident)),+ $(,)?) => {
+    ($(($key:literal, $aliases:tt, $ty:ty, $($rest:tt)*)),+ $(,)?) => {
         #[test]
         fn concurrent_stress_under_every_catalog_lock() {
             $( stress::<$ty>($key); )+
