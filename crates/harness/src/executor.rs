@@ -283,7 +283,13 @@ impl TaskPool {
 
 impl Drop for TaskPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it under that
+        // lock before waiting, so the notify below cannot fall between its
+        // check and its wait and leave it asleep forever.
+        {
+            let _queue = self.shared.queue.lock().expect("pool queue");
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();

@@ -4,7 +4,10 @@
 //! Writers claim a slot with one `fetch_add` on the head and publish the
 //! record with three relaxed stores plus a checksum; nothing blocks, and a
 //! full ring simply overwrites the oldest records — a flight recorder
-//! keeps the *tail* of history, not all of it. [`Recorder::dump`] is
+//! keeps the *tail* of history, not all of it. A writer that finds the
+//! slot still being written by another, a lap apart, drops its record
+//! rather than interleave stores with it: a splice of the two would fail
+//! its checksum and leave the slot unreadable until it is overwritten. [`Recorder::dump`] is
 //! best-effort by design: a record being overwritten while the dump reads
 //! it fails its checksum and is dropped rather than surfacing torn fields.
 //!
@@ -17,7 +20,7 @@
 
 use hemlock_core::events::LockEvent;
 use std::sync::atomic::AtomicPtr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -99,6 +102,8 @@ fn site_name(id: usize) -> &'static str {
 }
 
 struct Slot {
+    /// Set while a writer stores the three words below.
+    busy: AtomicBool,
     ts: AtomicU64,
     data: AtomicU64,
     check: AtomicU64,
@@ -146,6 +151,7 @@ impl Recorder {
         let cap = capacity.next_power_of_two().max(2);
         let slots = (0..cap)
             .map(|_| Slot {
+                busy: AtomicBool::new(false),
                 ts: AtomicU64::new(0),
                 data: AtomicU64::new(0),
                 // A zeroed slot must NOT look like a valid record.
@@ -178,9 +184,15 @@ impl Recorder {
             ((intern(site) as u64) << 56) | ((event as u64 & 0xFF) << ARG_BITS) | (arg & ARG_MASK);
         let i = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(i & self.mask) as usize];
+        // Acquire pairs with the previous writer's release of `busy`, so
+        // our stores land after all of its stores.
+        if slot.busy.swap(true, Ordering::Acquire) {
+            return;
+        }
         slot.ts.store(tick, Ordering::Relaxed);
         slot.data.store(data, Ordering::Relaxed);
         slot.check.store(tick ^ data ^ SEED, Ordering::Release);
+        slot.busy.store(false, Ordering::Release);
     }
 
     /// Reads the ring, oldest first. Records overwritten mid-read fail
