@@ -139,11 +139,6 @@ pub struct DynAdapter<L: RawLock> {
 }
 
 impl<L: RawLock> DynAdapter<L> {
-    /// Wraps a fresh lock reporting the type's own `META`.
-    pub fn new() -> Self {
-        Self::with_meta(L::META)
-    }
-
     /// Wraps a fresh lock reporting `meta`, which must describe `L`:
     /// catalogs only patch the display name (`"RW-MCS"` for
     /// `RwFromRaw<McsLock>`, which no `const` can spell). The trylock,
@@ -157,12 +152,6 @@ impl<L: RawLock> DynAdapter<L> {
             lock: L::default(),
             meta,
         }
-    }
-}
-
-impl<L: RawLock> Default for DynAdapter<L> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -200,11 +189,6 @@ pub struct DynTryAdapter<L: RawTryLock> {
 }
 
 impl<L: RawTryLock> DynTryAdapter<L> {
-    /// Wraps a fresh lock reporting the type's own `META`.
-    pub fn new() -> Self {
-        Self::with_meta(L::META)
-    }
-
     /// Wraps a fresh lock reporting `meta`, which must describe `L`
     /// (catalogs only patch the display name).
     pub fn with_meta(meta: LockMeta) -> Self {
@@ -212,12 +196,6 @@ impl<L: RawTryLock> DynTryAdapter<L> {
             lock: L::default(),
             meta,
         }
-    }
-}
-
-impl<L: RawTryLock> Default for DynTryAdapter<L> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -264,12 +242,12 @@ unsafe impl<L: RawTryLock> DynLock for DynTryAdapter<L> {
 
 /// Boxes a [`RawLock`] as a runtime lock handle (no trylock path).
 pub fn boxed<L: RawLock + 'static>() -> Box<dyn DynLock> {
-    Box::new(DynAdapter::<L>::new())
+    Box::new(DynAdapter::<L>::with_meta(L::META))
 }
 
 /// Boxes a [`RawTryLock`] as a runtime lock handle with trylock support.
 pub fn boxed_try<L: RawTryLock + 'static>() -> Box<dyn DynLock> {
-    Box::new(DynTryAdapter::<L>::new())
+    Box::new(DynTryAdapter::<L>::with_meta(L::META))
 }
 
 /// A mutual-exclusion primitive protecting a `T`, with the lock algorithm
