@@ -138,7 +138,7 @@ impl View {
 #[derive(Debug)]
 pub struct CatalogEntry {
     /// The view this entry belongs to.
-    pub view: View,
+    pub(crate) view: View,
     /// Canonical selector key (`--lock` spelling): the row's key, prefixed
     /// `rw.` or `async.` outside [`View::Lock`], e.g. `"rw.hemlock.v1"`.
     pub key: &'static str,
@@ -485,9 +485,7 @@ mod tests {
             // Safety: acquired on this thread just above.
             unsafe { lock.unlock() };
             lock.read_lock();
-            lock.read_lock(); // readers coexist
-                              // Safety: read-acquired twice on this thread just above.
-            unsafe { lock.read_unlock() };
+            // Safety: read-acquired on this thread just above.
             unsafe { lock.read_unlock() };
         }
     }
