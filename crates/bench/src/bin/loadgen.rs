@@ -88,14 +88,14 @@ fn key_bytes(rank: u64) -> Vec<u8> {
     format!("key{rank:08}").into_bytes()
 }
 
-/// Sleeps until `deadline` by re-registering with the reactor each tick
-/// (the open-loop pacer; resolution is the reactor tick).
+/// Sleeps until `deadline` on the reactor's timer (the open-loop pacer;
+/// the wake comes at or after the deadline, never before).
 async fn sleep_until(reactor: &Reactor, deadline: Instant) {
     std::future::poll_fn(|cx| {
         if Instant::now() >= deadline {
             Poll::Ready(())
         } else {
-            reactor.register(cx.waker());
+            reactor.register_until(cx.waker(), deadline);
             Poll::Pending
         }
     })

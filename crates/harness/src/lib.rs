@@ -17,9 +17,9 @@
 //! - [`executor`] — a minimal in-tree async runtime (`block_on` + a
 //!   multi-worker `TaskPool`), so the `hemlock-async` subsystem's benches
 //!   and tests need no external runtime in this offline workspace;
-//! - [`reactor`] — the tick-based readiness reactor backing
-//!   `hemlock-net`'s nonblocking sockets (std-only; no epoll bindings in
-//!   this offline workspace);
+//! - [`reactor`] — the epoll readiness reactor backing `hemlock-net`'s
+//!   nonblocking sockets (Linux; four `extern "C"` declarations, no
+//!   crate), with `stop` and deadline wakes;
 //! - [`zipf`] — a seeded Zipfian key-distribution sampler (Gray et al. /
 //!   YCSB method) for service-shaped workloads (`loadgen`, `shardkv`).
 

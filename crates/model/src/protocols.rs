@@ -18,7 +18,8 @@
 //! names its scenario.
 
 use hemlock_simlock::protocols::{
-    DekkerSim, FcRole, FcSim, QueueRole, RwRole, RwSim, TwoShardOp, TwoShardSim, WakerQueueSim,
+    DekkerSim, FcRole, FcSim, QueueRole, ReactorSim, RwRole, RwSim, TwoShardOp, TwoShardSim,
+    WakerQueueSim,
 };
 use hemlock_simlock::{ProtoViolation, ProtoWorld, ProtocolSim, SplitMix64};
 use std::collections::HashSet;
@@ -318,6 +319,9 @@ pub fn post_seed_scenarios() -> Vec<ProtoScenario> {
                 FcRole { cancel: true },
             ])
         }),
+        // Reactor park and stop: a reader parking through store-then-arm
+        // against a peer writing twice, the driver and a stopper.
+        scenario("proto.reactor", || ReactorSim::new(2)),
     ]
 }
 
@@ -328,7 +332,7 @@ mod tests {
     #[test]
     fn registry_names_are_stable_and_unique() {
         let scenarios = post_seed_scenarios();
-        assert_eq!(scenarios.len(), 5);
+        assert_eq!(scenarios.len(), 6);
         let names: Vec<&str> = scenarios.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
@@ -338,6 +342,7 @@ mod tests {
                 "proto.with-two",
                 "proto.rw",
                 "proto.flat-combining",
+                "proto.reactor",
             ]
         );
         for s in &scenarios {

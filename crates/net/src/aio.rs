@@ -1,53 +1,79 @@
-//! Nonblocking socket I/O as futures, parked on the harness
+//! Nonblocking socket I/O as futures, parked on the harness epoll
 //! [`Reactor`].
 //!
-//! Each helper is the same three-step shape, straight from the reactor's
-//! contract: attempt the nonblocking syscall; on `WouldBlock`, register
-//! the task's waker and return `Pending`; on the next tick, re-attempt.
-//! Sockets that are already ready complete on the first poll and never
-//! touch the reactor at all. `Interrupted` (EINTR) retries inside the
-//! poll, every other error surfaces to the caller.
+//! Each helper is the same shape, straight from the reactor's contract:
+//! attempt the nonblocking syscall; on `WouldBlock`, park the task's
+//! waker on the socket ([`Reactor::park`]: store the waker, then arm a
+//! one-shot registration), re-check stop where it applies, and retry the
+//! syscall once before returning `Pending`. The reactor wakes the task
+//! when its socket becomes ready. Sockets that are already ready complete
+//! on the first poll and never touch the reactor at all. `Interrupted`
+//! (EINTR) retries inside the poll, every other error surfaces to the
+//! caller.
 //!
-//! The read and accept helpers also watch a `stop` flag so graceful
-//! shutdown needs no side channel: a parked reader is woken by the next
-//! reactor tick, observes the flag, and resolves as if the peer had
-//! closed — which is exactly how the server's connection loop wants to
-//! treat it.
+//! The read and accept helpers also honour [`Reactor::stop`], so graceful
+//! shutdown needs no side channel: `stop` wakes every parked reader, which
+//! observes the flag and resolves as if the peer had closed — exactly how
+//! the server's connection loop wants to treat it. A reader that parks
+//! while `stop` runs sees the flag on its re-check after parking.
 
-use hemlock_harness::Reactor;
+use hemlock_harness::reactor::{Interest, Reactor};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::task::Poll;
+use std::os::fd::{AsFd, BorrowedFd};
+use std::task::{ready, Context, Poll};
+
+/// One readiness-driven attempt of `op` on `fd`: `Interrupted` retries,
+/// `WouldBlock` parks the task and retries once. `on_stop`, when given,
+/// is the result once the reactor is stopped — checked on entry and again
+/// after parking, so a stop that lands while the task parks is not lost.
+fn attempt<T>(
+    cx: &mut Context<'_>,
+    reactor: &Reactor,
+    fd: BorrowedFd<'_>,
+    interest: Interest,
+    mut on_stop: Option<T>,
+    mut op: impl FnMut() -> io::Result<T>,
+) -> Poll<io::Result<T>> {
+    let mut parked = false;
+    loop {
+        if let Some(v) = on_stop.take_if(|_| reactor.stopped()) {
+            return Poll::Ready(Ok(v));
+        }
+        match op() {
+            Ok(v) => return Poll::Ready(Ok(v)),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if parked {
+                    return Poll::Pending;
+                }
+                if let Err(e) = reactor.park(fd, interest, cx.waker()) {
+                    return Poll::Ready(Err(e));
+                }
+                parked = true;
+            }
+            Err(e) => return Poll::Ready(Err(e)),
+        }
+    }
+}
 
 /// Reads at least one byte into `buf` from a nonblocking `stream`,
 /// suspending (via `reactor`) while no bytes are available.
 ///
-/// Resolves `Ok(0)` on EOF **or** once `stop` is set — the caller treats
-/// both as "this connection is done reading", which is the graceful-
-/// shutdown path: already-buffered requests were decoded before the
-/// caller came back to read.
-pub async fn read_some(
-    stream: &TcpStream,
-    reactor: &Reactor,
-    stop: &AtomicBool,
-    buf: &mut [u8],
-) -> io::Result<usize> {
+/// Resolves `Ok(0)` on EOF **or** once `reactor` is stopped — the caller
+/// treats both as "this connection is done reading", which is the
+/// graceful-shutdown path: already-buffered requests were decoded before
+/// the caller came back to read.
+pub async fn read_some(stream: &TcpStream, reactor: &Reactor, buf: &mut [u8]) -> io::Result<usize> {
     std::future::poll_fn(|cx| {
-        if stop.load(Ordering::Acquire) {
-            return Poll::Ready(Ok(0));
-        }
-        loop {
-            match (&*stream).read(buf) {
-                Ok(n) => return Poll::Ready(Ok(n)),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    reactor.register(cx.waker());
-                    return Poll::Pending;
-                }
-                Err(e) => return Poll::Ready(Err(e)),
-            }
-        }
+        attempt(
+            cx,
+            reactor,
+            stream.as_fd(),
+            Interest::Readable,
+            Some(0),
+            || (&*stream).read(buf),
+        )
     })
     .await
 }
@@ -55,22 +81,24 @@ pub async fn read_some(
 /// Writes all of `data` to a nonblocking `stream`, suspending whenever
 /// the socket buffer is full.
 ///
-/// No `stop` flag here on purpose: the graceful-shutdown contract is
+/// Stop is ignored here on purpose: the graceful-shutdown contract is
 /// that every decoded request gets its response *flushed*, so the write
 /// path keeps draining even while the server is stopping.
 pub async fn write_all(stream: &TcpStream, reactor: &Reactor, data: &[u8]) -> io::Result<()> {
     let mut at = 0usize;
     std::future::poll_fn(move |cx| {
         while at < data.len() {
-            match (&*stream).write(&data[at..]) {
-                Ok(0) => return Poll::Ready(Err(io::ErrorKind::WriteZero.into())),
-                Ok(n) => at += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    reactor.register(cx.waker());
-                    return Poll::Pending;
-                }
-                Err(e) => return Poll::Ready(Err(e)),
+            let wrote = attempt(
+                cx,
+                reactor,
+                stream.as_fd(),
+                Interest::Writable,
+                None,
+                || (&*stream).write(&data[at..]),
+            );
+            match ready!(wrote)? {
+                0 => return Poll::Ready(Err(io::ErrorKind::WriteZero.into())),
+                n => at += n,
             }
         }
         Poll::Ready(Ok(()))
@@ -79,27 +107,20 @@ pub async fn write_all(stream: &TcpStream, reactor: &Reactor, data: &[u8]) -> io
 }
 
 /// Accepts one connection from a nonblocking `listener`, suspending
-/// while none is pending. Resolves `Ok(None)` once `stop` is set.
+/// while none is pending. Resolves `Ok(None)` once `reactor` is stopped.
 pub async fn accept(
     listener: &TcpListener,
     reactor: &Reactor,
-    stop: &AtomicBool,
 ) -> io::Result<Option<(TcpStream, SocketAddr)>> {
     std::future::poll_fn(|cx| {
-        if stop.load(Ordering::Acquire) {
-            return Poll::Ready(Ok(None));
-        }
-        loop {
-            match listener.accept() {
-                Ok(pair) => return Poll::Ready(Ok(Some(pair))),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    reactor.register(cx.waker());
-                    return Poll::Pending;
-                }
-                Err(e) => return Poll::Ready(Err(e)),
-            }
-        }
+        attempt(
+            cx,
+            reactor,
+            listener.as_fd(),
+            Interest::Readable,
+            Some(None),
+            || listener.accept().map(Some),
+        )
     })
     .await
 }
@@ -113,7 +134,6 @@ mod tests {
     #[test]
     fn read_write_roundtrip_over_loopback() {
         let reactor = Reactor::new();
-        let stop = AtomicBool::new(false);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         listener.set_nonblocking(true).unwrap();
@@ -127,12 +147,12 @@ mod tests {
         });
 
         let echoed = block_on(async {
-            let (stream, _) = accept(&listener, &reactor, &stop).await.unwrap().unwrap();
+            let (stream, _) = accept(&listener, &reactor).await.unwrap().unwrap();
             stream.set_nonblocking(true).unwrap();
             let mut buf = [0u8; 16];
             let mut got = Vec::new();
             while got.len() < 5 {
-                let n = read_some(&stream, &reactor, &stop, &mut buf).await.unwrap();
+                let n = read_some(&stream, &reactor, &mut buf).await.unwrap();
                 assert_ne!(n, 0, "peer closed early");
                 got.extend_from_slice(&buf[..n]);
             }
@@ -146,7 +166,6 @@ mod tests {
     #[test]
     fn stop_flag_resolves_a_parked_reader_as_eof() {
         let reactor = Arc::new(Reactor::new());
-        let stop = Arc::new(AtomicBool::new(false));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         // Keep the far end open but silent: the reader must park.
@@ -154,17 +173,17 @@ mod tests {
         let (server_side, _) = listener.accept().unwrap();
         server_side.set_nonblocking(true).unwrap();
 
-        let (r2, s2) = (Arc::clone(&reactor), Arc::clone(&stop));
+        let r2 = Arc::clone(&reactor);
         let t = std::thread::spawn(move || {
             block_on(async move {
                 let mut buf = [0u8; 8];
-                read_some(&server_side, &r2, &s2, &mut buf).await.unwrap()
+                read_some(&server_side, &r2, &mut buf).await.unwrap()
             })
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
-        stop.store(true, Ordering::Release);
-        // The parked reader re-registers every tick, so the tick after the
-        // store wakes it and the poll observes the flag.
+        // Stop wakes the parked reader, whose poll observes the flag; a
+        // reader that had not parked yet sees it on its re-check.
+        reactor.stop();
         assert_eq!(t.join().unwrap(), 0, "stop must read as EOF");
     }
 }

@@ -5,6 +5,10 @@
 //! ids, write the whole batch in one syscall-sized burst, then collect
 //! responses **by id** — the protocol lets a server complete pipelined
 //! requests out of order, so position on the wire is not trusted.
+//!
+//! `AsyncConn` takes its reactor per call: the reactor's registration
+//! for a socket dies with the socket, so no state ties a connection to
+//! one reactor. A batch on a stopped reactor reads as EOF and fails.
 
 use crate::aio;
 use crate::proto::{encode_request, Decoder, FrameError, Request, Response};
@@ -12,7 +16,6 @@ use hemlock_harness::Reactor;
 use hemlock_minikv::KvOp;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::AtomicBool;
 
 /// One operation in a pipelined batch (borrowed: batches are built from
 /// caller-owned key/value buffers without copies until encode).
@@ -247,9 +250,6 @@ pub struct AsyncConn {
     stream: TcpStream,
     dec: Decoder,
     next_id: u64,
-    /// Never set: [`aio::read_some`] wants a stop flag; a client batch
-    /// always runs to completion and surfaces EOF as an error instead.
-    no_stop: AtomicBool,
 }
 
 impl AsyncConn {
@@ -263,7 +263,6 @@ impl AsyncConn {
             stream,
             dec: Decoder::new(),
             next_id: 1,
-            no_stop: AtomicBool::new(false),
         })
     }
 
@@ -288,7 +287,7 @@ impl AsyncConn {
             if filled == ops.len() {
                 break;
             }
-            let n = aio::read_some(&self.stream, reactor, &self.no_stop, &mut buf).await?;
+            let n = aio::read_some(&self.stream, reactor, &mut buf).await?;
             if n == 0 {
                 return Err(eof_err());
             }

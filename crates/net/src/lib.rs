@@ -13,7 +13,8 @@
 //!   a strict frame cap, and an incremental [`Decoder`] that tolerates
 //!   arbitrary packetization;
 //! - [`aio`] + [`server`] — nonblocking-socket futures parked on the
-//!   harness [`hemlock_harness::Reactor`], and a task-per-connection
+//!   harness epoll [`hemlock_harness::Reactor`] (woken only when their
+//!   own socket is ready), and a task-per-connection
 //!   server on the in-tree `TaskPool` serving any
 //!   [`hemlock_minikv::AsyncKv`] (i.e. a `Db` over any `async.*`
 //!   catalog lock) with graceful, no-request-lost shutdown;

@@ -12,11 +12,12 @@
 //!   Each task loops: decode every complete request, dispatch it to the
 //!   [`AsyncKv`] store (suspending on busy shards, never blocking a
 //!   worker), flush the encoded responses, then park for more bytes.
-//! - a shared tick [`Reactor`] parking all of the above between
-//!   readiness attempts.
+//! - a shared epoll [`Reactor`] parking all of the above until their
+//!   socket is ready.
 //!
-//! **Graceful shutdown** ([`ServerHandle::shutdown`]) sets one flag.
-//! The acceptor observes it within a tick and stops accepting; each
+//! **Graceful shutdown** ([`ServerHandle::shutdown`]) calls
+//! [`Reactor::stop`], which sets the reactor's stop flag and wakes every
+//! parked task. The acceptor observes it and stops accepting; each
 //! connection task observes it at its next read (requests already
 //! decoded are answered and flushed first — the write path deliberately
 //! ignores the flag) and returns its served-request count. The handle
@@ -36,7 +37,6 @@ use hemlock_minikv::{AsyncKv, KvOp};
 use hemlock_obs::trace;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Server tuning knobs.
@@ -70,7 +70,7 @@ pub struct ServerStats {
 /// joins the connection tasks.
 pub struct ServerHandle {
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    reactor: Arc<Reactor>,
     acceptor: Option<std::thread::JoinHandle<(usize, Vec<JoinHandle<u64>>)>>,
 }
 
@@ -85,7 +85,7 @@ impl ServerHandle {
     /// plain thread, **not** from a task on the serving pool (the joins
     /// block).
     pub fn shutdown(mut self) -> ServerStats {
-        self.stop.store(true, Ordering::Release);
+        self.reactor.stop();
         let (connections, conns) = self
             .acceptor
             .take()
@@ -102,9 +102,9 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.reactor.stop();
         if let Some(t) = self.acceptor.take() {
-            // Join the acceptor (it exits within a tick) but detach the
+            // Join the acceptor (the stop wakes it) but detach the
             // connection handles: resuming a task panic inside drop
             // could double-panic, and the tasks stop on the same flag.
             let _ = t.join();
@@ -134,19 +134,18 @@ pub fn spawn_server_with(
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
     let reactor = Arc::new(Reactor::new());
     let acceptor = {
         let pool = Arc::clone(pool);
-        let stop = Arc::clone(&stop);
+        let reactor = Arc::clone(&reactor);
         std::thread::Builder::new()
             .name("hemlock-accept".to_string())
-            .spawn(move || accept_loop(&listener, &pool, kv, &reactor, &stop, opts))
+            .spawn(move || accept_loop(&listener, &pool, kv, &reactor, opts))
             .expect("spawn acceptor thread")
     };
     Ok(ServerHandle {
         local_addr,
-        stop,
+        reactor,
         acceptor: Some(acceptor),
     })
 }
@@ -158,13 +157,12 @@ fn accept_loop(
     pool: &Arc<TaskPool>,
     kv: Arc<dyn AsyncKv>,
     reactor: &Arc<Reactor>,
-    stop: &Arc<AtomicBool>,
     opts: ServerOptions,
 ) -> (usize, Vec<JoinHandle<u64>>) {
     block_on(async {
         let mut conns = Vec::new();
         loop {
-            match aio::accept(listener, reactor, stop).await {
+            match aio::accept(listener, reactor).await {
                 Ok(Some((stream, _peer))) => {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
@@ -174,7 +172,6 @@ fn accept_loop(
                         stream,
                         Arc::clone(&kv),
                         Arc::clone(reactor),
-                        Arc::clone(stop),
                         opts,
                     )));
                 }
@@ -192,7 +189,6 @@ async fn serve_conn(
     stream: TcpStream,
     kv: Arc<dyn AsyncKv>,
     reactor: Arc<Reactor>,
-    stop: Arc<AtomicBool>,
     opts: ServerOptions,
 ) -> u64 {
     if hemlock_obs::enabled() {
@@ -292,7 +288,7 @@ async fn serve_conn(
         // Responses above are flushed, so they count even if the next
         // read finds the peer gone.
         served += batched;
-        match aio::read_some(&stream, &reactor, &stop, &mut inbuf).await {
+        match aio::read_some(&stream, &reactor, &mut inbuf).await {
             Ok(0) => return served, // EOF or graceful stop
             Ok(n) => dec.feed(&inbuf[..n]),
             Err(_) => return served,

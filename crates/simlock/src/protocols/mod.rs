@@ -14,14 +14,17 @@
 //! | [`twoshard`] | `hemlock-shard::table::with_two` | `with-two-ordered` |
 //! | [`rw`] | `hemlock-locks::rw::HemlockRw` drain/withdrawal | `hemlock-rw` |
 //! | [`fc`] | `hemlock-shard::batch` record lifecycle | `flat-combining` |
+//! | [`reactor`] | `hemlock-harness::reactor` park and stop | `reactor` |
 
 pub mod fc;
+pub mod reactor;
 pub mod rw;
 pub mod twoshard;
 pub mod wakerqueue;
 pub mod wakerset;
 
 pub use fc::{FcBug, FcRole, FcSim, FcThread};
+pub use reactor::{ReactorBug, ReactorRole, ReactorSim, ReactorThread};
 pub use rw::{RwBug, RwRole, RwSim, RwThread};
 pub use twoshard::{ShardThread, TwoShardBug, TwoShardOp, TwoShardSim};
 pub use wakerqueue::{QueueBug, QueueRole, QueueThread, WakerQueueSim};

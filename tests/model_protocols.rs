@@ -7,14 +7,15 @@
 //! direction: each deliberately-injected protocol bug (a skipped Dekker
 //! re-check, a dropped racing grant, an unordered two-shard acquire, a
 //! release mid-update, a skipped writer-flag check, a leaked read
-//! indicator, a DONE store deferred past the lock release) is caught by a
-//! named invariant or as a deadlock. The long-horizon seeded random walks
+//! indicator, a DONE store deferred past the lock release, a reactor
+//! registration armed before its waker is stored, a skipped stop
+//! re-check) is caught by a named invariant or as a deadlock. The long-horizon seeded random walks
 //! (the `modelbench` CI job runs millions of steps) get a smoke test here.
 
 use hemlock_model::{check_proto_random_run, explore_proto, post_seed_scenarios};
 use hemlock_simlock::protocols::{
-    DekkerBug, DekkerSim, FcBug, FcRole, FcSim, QueueBug, QueueRole, RwBug, RwRole, RwSim,
-    TwoShardBug, TwoShardOp, TwoShardSim, WakerQueueSim,
+    DekkerBug, DekkerSim, FcBug, FcRole, FcSim, QueueBug, QueueRole, ReactorBug, ReactorSim, RwBug,
+    RwRole, RwSim, TwoShardBug, TwoShardOp, TwoShardSim, WakerQueueSim,
 };
 use hemlock_simlock::{ProtoWorld, ProtocolSim};
 
@@ -235,6 +236,30 @@ fn fc_release_before_done_breaks_claim_discipline() {
         ),
         &["claimed-implies-locked"],
         "fc ReleaseBeforeDone",
+    );
+}
+
+#[test]
+fn reactor_arm_before_store_loses_wakeups() {
+    // Arming the one-shot registration before the waker is in its slot:
+    // the driver can fire on the empty slot and spend the registration,
+    // so the readiness the task parked for wakes no one.
+    assert_caught(
+        ReactorSim::with_bug(2, ReactorBug::ArmBeforeStore),
+        &["deadlock-freedom", "no-lost-wakeup"],
+        "reactor ArmBeforeStore",
+    );
+}
+
+#[test]
+fn reactor_skipped_stop_recheck_loses_wakeups() {
+    // Parking without re-checking stop after storing the waker: a stop
+    // that took the slot while it was still empty wakes no one, and an
+    // idle peer never will — the reader parks forever.
+    assert_caught(
+        ReactorSim::with_bug(2, ReactorBug::SkipStopRecheck),
+        &["deadlock-freedom", "no-lost-wakeup"],
+        "reactor SkipStopRecheck",
     );
 }
 

@@ -204,3 +204,44 @@ fn sixty_four_pipelined_connections_survive_shutdown_accounting() {
         "graceful shutdown must account for every pipelined response the clients received"
     );
 }
+
+/// Shutdown with open, idle peers: eight clients each make one round
+/// trip and then sit connected and silent, so every connection task is
+/// parked in a read when `shutdown` runs. The reactor's stop must wake
+/// each of them (no readiness event ever will), and the accounting must
+/// still hold.
+#[test]
+fn shutdown_returns_promptly_with_idle_connected_peers() {
+    const PEERS: usize = 8;
+    let pool = Arc::new(TaskPool::new(2));
+    let server = catalog::with_timed_lock_type(
+        catalog::find(View::Async, "async.hemlock").expect("async.hemlock is in the catalog"),
+        Spawn {
+            pool: &pool,
+            opts: ServerOptions::default(),
+        },
+    )
+    .expect("async entries are trylock-capable");
+    let idle: Vec<Client> = (0..PEERS)
+        .map(|_| {
+            let mut c = Client::connect(server.local_addr()).expect("connect");
+            c.ping().expect("one round trip");
+            c
+        })
+        .collect();
+
+    // Shut down on a helper thread so a lost stop fails the test instead
+    // of hanging it.
+    let (done, finished) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || done.send(server.shutdown()));
+    let stats = finished
+        .recv_timeout(std::time::Duration::from_secs(2))
+        .expect("shutdown must return within 2 s with idle peers connected");
+    stopper
+        .join()
+        .expect("shutdown thread")
+        .expect("stats sent");
+    assert_eq!(stats.connections, PEERS);
+    assert_eq!(stats.requests, PEERS as u64);
+    drop(idle);
+}
