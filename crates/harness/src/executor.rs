@@ -5,8 +5,8 @@
 //! the in-tree substitute the benches, tests, and examples drive. It is a
 //! deliberately small, classic design:
 //!
-//! - [`block_on`] — drives one future on the current thread with a
-//!   park/unpark waker;
+//! - [`block_on`] — drives one future on the current thread, waiting
+//!   between polls;
 //! - [`TaskPool`] — `N` worker threads sharing one injector queue. Each
 //!   spawned task is an `Arc` that *is* its own [`Waker`]
 //!   (`std::task::Wake`); waking pushes the task back onto the queue. A
@@ -14,6 +14,23 @@
 //!   guarantees a task is polled by at most one worker at a time and that
 //!   a wake arriving *during* a poll re-queues the task afterwards — the
 //!   standard no-lost-wakeup discipline.
+//!
+//! **Waiting where you run.** A thread with nothing to poll waits in its
+//! home reactor's epoll when that reactor's driving token is free (see
+//! [`crate::reactor`]), so a ready socket wakes the thread that will run
+//! its task:
+//!
+//! - `block_on` waits in `turn` until its own waker fires. Its waker then
+//!   writes the reactor's eventfd rather than unparking the thread, and
+//!   a wake from the same thread only sets the flag.
+//! - An idle pool worker makes itself the pool's **leader**: it publishes
+//!   itself under the queue lock, in the critical section that found the
+//!   queue empty, then waits in `turn`. A push wakes an idle worker if
+//!   there is one and otherwise interrupts the leader. The leader runs
+//!   the first task it harvests itself; each further one wakes an idle
+//!   worker.
+//! - A thread whose home token is held, or that has no home, sleeps the
+//!   usual way: on the pool's condvar, or in `thread::park`.
 //!
 //! Tasks may migrate between workers across polls, which is precisely why
 //! the async lock guards in `hemlock-async` must be (and are) `Send`, and
@@ -24,17 +41,86 @@
 //! the pool feeds the `pool.*` registry metrics: injector queue depth,
 //! spawn/wake/poll/completion counts.
 
+use crate::reactor::{self, Home};
 use hemlock_obs::trace;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle as ThreadHandle;
 
-/// Runs a future to completion on the current thread, parking between
-/// polls.
+thread_local! {
+    /// Marks this thread: its address tells a waker which thread calls it.
+    static MARK: u8 = const { 0 };
+    /// The pool whose leader this thread is, while it waits in `turn`.
+    static LEADING: Cell<*const PoolShared> = const { Cell::new(std::ptr::null()) };
+}
+
+/// An id for the calling thread, unique among live threads.
+fn this_thread() -> usize {
+    MARK.with(|m| m as *const u8 as usize)
+}
+
+/// `block_on`'s waker.
+struct Unparker {
+    thread: std::thread::Thread,
+    /// [`this_thread`] of `thread`.
+    owner: usize,
+    notified: AtomicBool,
+    /// The reactor whose epoll `thread` waits in, while it waits there.
+    driving: Mutex<Option<Home>>,
+}
+
+impl Wake for Unparker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.notified.store(true, Ordering::SeqCst);
+        if this_thread() == self.owner {
+            // The thread's own wait loop checks the flag next.
+            return;
+        }
+        match &*self.driving.lock().unwrap_or_else(PoisonError::into_inner) {
+            // A thread in `epoll_pwait2` does not see an unpark.
+            Some(home) => home.interrupt(),
+            None => self.thread.unpark(),
+        }
+    }
+}
+
+impl Unparker {
+    /// Returns once the waker has fired. Waits in the home reactor's
+    /// epoll when its token is free, parked otherwise (registered as a
+    /// follower when the token is held).
+    fn wait(&self, waker: &Waker) {
+        while !self.notified.swap(false, Ordering::Acquire) {
+            let Some(home) = Home::current() else {
+                std::thread::park();
+                continue;
+            };
+            let Some(driving) = home.drive_or_follow(waker) else {
+                std::thread::park();
+                continue;
+            };
+            // Set before the flag is checked, so a waker on another thread
+            // either sees it and writes the eventfd, or set the flag first.
+            *self.driving.lock().expect("block_on waker") = Some(home.clone());
+            while !self.notified.load(Ordering::SeqCst) && home.is_live() {
+                driving.turn();
+            }
+            *self.driving.lock().expect("block_on waker") = None;
+        }
+    }
+}
+
+/// Runs a future to completion on the current thread. Between polls the
+/// thread waits in its home reactor's epoll when it can (see the module
+/// docs), and parks otherwise.
 ///
 /// ```
 /// use hemlock_harness::executor::block_on;
@@ -42,32 +128,21 @@ use std::thread::JoinHandle as ThreadHandle;
 /// assert_eq!(block_on(async { 2 + 2 }), 4);
 /// ```
 pub fn block_on<F: Future>(fut: F) -> F::Output {
-    struct Unparker {
-        thread: std::thread::Thread,
-        notified: AtomicBool,
-    }
-    impl Wake for Unparker {
-        fn wake(self: Arc<Self>) {
-            self.notified.store(true, Ordering::Release);
-            self.thread.unpark();
-        }
-    }
     let unparker = Arc::new(Unparker {
         thread: std::thread::current(),
+        owner: this_thread(),
         notified: AtomicBool::new(false),
+        driving: Mutex::new(None),
     });
     let waker = Waker::from(Arc::clone(&unparker));
     let mut cx = Context::from_waker(&waker);
     let mut fut = std::pin::pin!(fut);
+    let _serving = reactor::serve();
     loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(out) => return out,
-            Poll::Pending => {
-                while !unparker.notified.swap(false, Ordering::Acquire) {
-                    std::thread::park();
-                }
-            }
+        if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+            return out;
         }
+        unparker.wait(&waker);
     }
 }
 
@@ -123,19 +198,60 @@ impl Wake for Task {
     }
 }
 
+struct Queue {
+    tasks: VecDeque<Arc<Task>>,
+    /// Workers waiting on the condvar.
+    idle: usize,
+    /// The pool's leaders: workers waiting in their home reactor's epoll,
+    /// by [`this_thread`]. Usually one; workers whose homes differ each
+    /// lead their own.
+    leaders: Vec<(usize, Home)>,
+}
+
 struct PoolShared {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    queue: Mutex<Queue>,
     available: Condvar,
     shutdown: AtomicBool,
 }
 
 impl PoolShared {
     fn push(&self, task: Arc<Task>) {
+        enum Rouse {
+            Idle,
+            Leader(Home),
+        }
         if hemlock_obs::enabled() {
             hemlock_obs::registry().pool_queue_depth.inc();
         }
-        self.queue.lock().expect("pool queue").push_back(task);
-        self.available.notify_one();
+        let mut q = self.queue.lock().expect("pool queue");
+        q.tasks.push_back(task);
+        let rouse = if std::ptr::eq(LEADING.with(Cell::get), self) {
+            // The leader, harvesting its reactor, runs the queue's first
+            // task itself; each further one goes to an idle worker.
+            (q.tasks.len() > 1 && q.idle > 0).then_some(Rouse::Idle)
+        } else if q.idle > 0 {
+            Some(Rouse::Idle)
+        } else {
+            q.leaders.first().map(|l| Rouse::Leader(l.1.clone()))
+        };
+        drop(q);
+        match rouse {
+            Some(Rouse::Idle) => self.available.notify_one(),
+            Some(Rouse::Leader(home)) => home.interrupt(),
+            None => {}
+        }
+    }
+}
+
+/// The pool's follower waker: a driver left the workers' home reactor,
+/// so idle workers check whether one of them can lead.
+impl Wake for PoolShared {
+    fn wake(self: Arc<Self>) {
+        // Under the queue lock: a worker registers as a follower and
+        // retries the token under it, then waits, so this cannot land
+        // between the retry and the wait.
+        let _q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        self.available.notify_all();
     }
 }
 
@@ -228,7 +344,11 @@ impl TaskPool {
     /// Spawns `workers` worker threads (at least 1).
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                idle: 0,
+                leaders: Vec::new(),
+            }),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
@@ -284,22 +404,30 @@ impl TaskPool {
 impl Drop for TaskPool {
     fn drop(&mut self) {
         // Set the flag under the queue lock: a worker checks it under that
-        // lock before waiting, so the notify below cannot fall between its
-        // check and its wait and leave it asleep forever.
-        {
-            let _queue = self.shared.queue.lock().expect("pool queue");
+        // lock before waiting or leading, so the wakes below cannot fall
+        // between its check and its wait and leave it asleep forever.
+        let leaders = {
+            let q = self.shared.queue.lock().expect("pool queue");
             self.shared.shutdown.store(true, Ordering::Release);
-        }
+            q.leaders.clone()
+        };
         self.shared.available.notify_all();
+        for (_, home) in leaders {
+            home.interrupt();
+        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Drop whatever never got polled; future drops run cancellation.
-        self.shared.queue.lock().expect("pool queue").clear();
+        // Drop whatever never got polled, outside the lock: future drops
+        // run cancellation, which may wake tasks of this pool.
+        let left = std::mem::take(&mut self.shared.queue.lock().expect("pool queue").tasks);
+        drop(left);
     }
 }
 
 fn worker_loop(shared: &Arc<PoolShared>) {
+    let _serving = reactor::serve();
+    let follower = Waker::from(Arc::clone(shared));
     loop {
         let task = {
             let mut q = shared.queue.lock().expect("pool queue");
@@ -307,10 +435,26 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                if let Some(t) = q.pop_front() {
+                if let Some(t) = q.tasks.pop_front() {
                     break t;
                 }
+                let home = Home::current();
+                if let Some(driving) = home.as_ref().and_then(|h| h.drive_or_follow(&follower)) {
+                    // Published in the critical section that found the
+                    // queue empty: a push from here on interrupts the wait.
+                    let me = this_thread();
+                    q.leaders.extend(home.clone().map(|h| (me, h)));
+                    drop(q);
+                    LEADING.with(|l| l.set(Arc::as_ptr(shared)));
+                    driving.turn();
+                    LEADING.with(|l| l.set(std::ptr::null()));
+                    q = shared.queue.lock().expect("pool queue");
+                    q.leaders.retain(|l| l.0 != me);
+                    continue;
+                }
+                q.idle += 1;
                 q = shared.available.wait(q).expect("pool queue");
+                q.idle -= 1;
             }
         };
         if hemlock_obs::enabled() {
@@ -398,7 +542,11 @@ impl Future for YieldNow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::{Interest, Reactor};
+    use std::io::Read;
+    use std::os::unix::net::UnixStream;
     use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn block_on_resolves_immediate_and_yielding_futures() {
@@ -483,6 +631,81 @@ mod tests {
         assert!(r.is_err(), "join must resume the task's panic");
         // The single worker survived the panic: the pool still runs tasks.
         assert_eq!(pool.spawn(async { 11 }).join(), 11);
+    }
+
+    /// A future that parks a read on a silent socket and resolves on its
+    /// second poll, or once the reactor stops.
+    fn park_once(reactor: Arc<Reactor>, a: UnixStream) -> impl Future<Output = ()> {
+        let mut parked = false;
+        std::future::poll_fn(move |cx| {
+            if parked || reactor.stopped() {
+                return Poll::Ready(());
+            }
+            let would_block = (&a).read(&mut [0u8; 1]).unwrap_err();
+            assert_eq!(would_block.kind(), std::io::ErrorKind::WouldBlock);
+            reactor
+                .park(&a, Interest::Readable, cx.waker())
+                .expect("park");
+            parked = true;
+            Poll::Pending
+        })
+    }
+
+    fn silent_socket() -> (UnixStream, UnixStream) {
+        let (a, b) = UnixStream::pair().unwrap();
+        a.set_nonblocking(true).unwrap();
+        (a, b)
+    }
+
+    #[test]
+    fn another_threads_wake_ends_a_block_on_waiting_in_epoll() {
+        // The block_on thread parks on a silent socket, so it waits in its
+        // reactor's epoll; a wake from another thread must reach it there
+        // (an unpark would not).
+        let reactor = Arc::new(Reactor::new());
+        let (a, _b) = silent_socket();
+        let slot: Arc<Mutex<Option<Waker>>> = Arc::new(Mutex::new(None));
+        let (done, finished) = std::sync::mpsc::channel();
+        let (r, s) = (Arc::clone(&reactor), Arc::clone(&slot));
+        std::thread::spawn(move || {
+            let mut parked = park_once(r, a);
+            block_on(std::future::poll_fn(|cx| {
+                *s.lock().unwrap() = Some(cx.waker().clone());
+                Pin::new(&mut parked).poll(cx)
+            }));
+            done.send(()).unwrap();
+        });
+        let waker = loop {
+            if let Some(w) = slot.lock().unwrap().clone() {
+                break w;
+            }
+            std::thread::yield_now();
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        waker.wake();
+        finished
+            .recv_timeout(Duration::from_millis(100))
+            .expect("the wake must end block_on within 100 ms");
+    }
+
+    #[test]
+    fn a_plain_thread_spawn_reaches_a_worker_waiting_in_epoll() {
+        // The only worker parks a task on a silent socket, then waits in
+        // the reactor's epoll: a spawn from this thread must interrupt it.
+        let pool = TaskPool::new(1);
+        let reactor = Arc::new(Reactor::new());
+        let (a, _b) = silent_socket();
+        let parked = pool.spawn(park_once(Arc::clone(&reactor), a));
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        let h = pool.spawn(async { 7 });
+        while !h.is_finished() && t0.elapsed() < Duration::from_millis(100) {
+            std::thread::yield_now();
+        }
+        assert!(h.is_finished(), "the spawned task must run within 100 ms");
+        assert_eq!(h.join(), 7);
+        reactor.stop();
+        parked.join();
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //!   `hemlock-bench`;
 //! - [`executor`] — a minimal in-tree async runtime (`block_on` + a
 //!   multi-worker `TaskPool`), so the `hemlock-async` subsystem's benches
-//!   and tests need no external runtime in this offline workspace;
+//!   and tests need no external runtime in this offline workspace; its
+//!   idle threads wait in their home reactor's epoll;
 //! - [`reactor`] — the epoll readiness reactor backing `hemlock-net`'s
 //!   nonblocking sockets (Linux; four `extern "C"` declarations, no
-//!   crate), with `stop` and deadline wakes;
+//!   crate), with `stop` and deadline wakes. The executor thread that
+//!   will run a task waits in its epoll; a reactor no executor thread
+//!   waits on gets a fallback driver thread;
 //! - [`zipf`] — a seeded Zipfian key-distribution sampler (Gray et al. /
 //!   YCSB method) for service-shaped workloads (`loadgen`, `shardkv`).
 

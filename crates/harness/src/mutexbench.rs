@@ -22,6 +22,7 @@ use core::cell::UnsafeCell;
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use hemlock_core::pad::CachePadded;
 use hemlock_core::raw::RawLock;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// Contention regime.
@@ -64,14 +65,18 @@ pub fn mutex_bench<L: RawLock>(cfg: MutexBenchConfig) -> Throughput {
         .map(|_| CachePadded::new(AtomicU64::new(0)))
         .collect();
 
-    let start = Instant::now();
-    std::thread::scope(|s| {
+    // The threads and this one line up before the clock starts, so every
+    // thread is running when the interval begins.
+    let start_line = Barrier::new(cfg.threads + 1);
+    let start = std::thread::scope(|s| {
         for (t, counter) in counters.iter().enumerate() {
             let shared = &shared;
             let stop = &stop;
+            let start_line = &start_line;
             s.spawn(move || {
                 let mut local = Mt19937::new(0x5EED ^ (t as u32 + 1));
                 let mut iters = 0u64;
+                start_line.wait();
                 while !stop.load(Ordering::Relaxed) {
                     shared.lock.lock();
                     if cfg.contention == Contention::Moderate {
@@ -94,8 +99,11 @@ pub fn mutex_bench<L: RawLock>(cfg: MutexBenchConfig) -> Throughput {
                 counter.store(iters, Ordering::Release);
             });
         }
+        start_line.wait();
+        let start = Instant::now();
         std::thread::sleep(cfg.duration);
         stop.store(true, Ordering::Release);
+        start
     });
     let elapsed = start.elapsed();
 

@@ -6,7 +6,7 @@
 //! missing piece is "park this task until the socket is ready". This
 //! module supplies that piece with one epoll instance per [`Reactor`],
 //! reached through four `extern "C"` declarations (std already links
-//! libc), and one driver thread, `hemlock-reactor`, waiting on it.
+//! libc).
 //!
 //! Each file descriptor has one **slot** holding the waker of the task
 //! parked on it. The protocol, from a task's `poll`:
@@ -17,16 +17,44 @@
 //!    (`EPOLLIN` or `EPOLLOUT` plus `EPOLLONESHOT`) is armed;
 //! 3. re-check [`Reactor::stopped`] where the caller honours stop, retry
 //!    the syscall once, and return `Pending` if it still would block;
-//! 4. when the fd becomes ready, the driver takes the slot's waker and
-//!    wakes that task alone; the task re-attempts.
+//! 4. when the fd becomes ready, the thread waiting in the reactor's
+//!    epoll takes the slot's waker and wakes that task alone; the task
+//!    re-attempts.
 //!
 //! Store-then-arm is what makes the hand-off lossless. Arming reports
 //! readiness that already exists, so no edge between step 1 and step 2
 //! is lost; and an event the arming produces always finds the waker in
-//! the slot. Arming first would let the driver fire on an empty slot and
-//! spend the one-shot, stranding the task. `proto.reactor` in
+//! the slot. Arming first would let the waiting thread fire on an empty
+//! slot and spend the one-shot, stranding the task. `proto.reactor` in
 //! `hemlock-model` checks this order, and the stop re-check below, on
 //! every interleaving of a small configuration.
+//!
+//! **Who waits in epoll.** The thread that would otherwise sleep: an idle
+//! [`TaskPool`](crate::executor::TaskPool) worker, or the thread inside
+//! [`block_on`](crate::executor::block_on). A ready socket then wakes the
+//! thread that will run its task, with no relay thread in between.
+//!
+//! - **Home.** [`Reactor::park`] and [`Reactor::register_until`] record
+//!   the reactor as the calling thread's *home*: the first live reactor
+//!   it parks on, kept until that reactor drops. An executor thread
+//!   waits only in its home's epoll.
+//! - **Token.** One pass of the wait (`turn`: `epoll_pwait2` until an fd
+//!   is ready, the eventfd is written or the nearest deadline passes,
+//!   then wake what is due) runs under the reactor's driving token, so
+//!   at most one thread waits in an epoll at a time. A thread that wants
+//!   to wake the waiter writes the eventfd.
+//! - **Followers.** A thread that finds its home's token held registers
+//!   a waker with the reactor and sleeps the usual way. A thread that
+//!   stops returning to a reactor (a `block_on` call returns, a pool
+//!   drops) wakes them, so one of them takes the token over.
+//! - **Fallback.** A reactor that no executor thread will wait on gets
+//!   its own `hemlock-reactor` thread, started at most once: on a park or
+//!   deadline from a thread outside any executor, or from an executor
+//!   thread whose live home is another reactor. Once started it holds
+//!   the token for the reactor's life.
+//!
+//! `proto.driver` in `hemlock-model` checks the leader, follower and
+//! hand-off protocol.
 //!
 //! **Stop.** [`Reactor::stop`] sets a flag and then wakes every stored
 //! waker. A parker that stores its waker before re-checking the flag is
@@ -34,12 +62,12 @@
 //! as `hemlock_core::wakerset::WakerSet`, ordered here by the slot mutex.
 //!
 //! **Deadlines.** [`Reactor::register_until`] keeps a small list of
-//! `(deadline, waker)` pairs. The driver's `epoll_pwait2` timeout is the
-//! nearest deadline, in nanoseconds; an `eventfd` interrupts the wait when
-//! an earlier deadline arrives or the reactor drops. A deadline waker
-//! fires at or after its deadline, never before.
+//! `(deadline, waker)` pairs. The waiting thread's `epoll_pwait2` timeout
+//! is the nearest deadline, in nanoseconds; an `eventfd` interrupts the
+//! wait when an earlier deadline arrives or the reactor drops. A deadline
+//! waker fires at or after its deadline, never before.
 //!
-//! An idle reactor costs nothing: the driver sleeps in `epoll_pwait2`
+//! An idle reactor costs nothing: its waiter sleeps in `epoll_pwait2`
 //! with no timeout. A task whose bytes are already buffered never touches
 //! the reactor at all. No registration outlives its socket — the kernel
 //! drops it when the fd closes — so a task may park the same socket on
@@ -48,13 +76,15 @@
 #[cfg(not(target_os = "linux"))]
 compile_error!("hemlock-harness's reactor is built on Linux epoll");
 
+use std::cell::{Cell, RefCell};
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::os::fd::{AsFd, AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::raw::{c_int, c_long, c_uint, c_void};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::task::Waker;
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::task::{Wake, Waker};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// `struct epoll_event`: packed on x86_64 only, natural layout elsewhere.
@@ -118,8 +148,8 @@ pub enum Interest {
 struct Timers {
     /// Pending `(deadline, waker)` pairs, unordered.
     due: Vec<(Instant, Waker)>,
-    /// The deadline the driver sleeps until (`None`: no timeout). A
-    /// registration earlier than this interrupts the sleep.
+    /// The deadline the waiting thread sleeps until (`None`: no timeout).
+    /// A registration earlier than this interrupts the sleep.
     sleep_until: Option<Instant>,
 }
 
@@ -132,13 +162,18 @@ struct Shared {
     timers: Mutex<Timers>,
     stopped: AtomicBool,
     shutdown: AtomicBool,
+    /// The driving token: set while one thread may wait in the epoll.
+    driving: AtomicBool,
+    /// Wakers of threads that found the token held; woken when a thread
+    /// stops returning to this reactor.
+    followers: Mutex<Vec<Waker>>,
 }
 
 impl Shared {
-    /// Interrupts the driver's wait.
+    /// Interrupts the wait of whichever thread is in the epoll.
     fn notify(&self) {
-        // A full counter (never reached: the driver drains it) or EAGAIN
-        // still leaves the eventfd readable, which is all the driver needs.
+        // A full counter (never reached: the waiter drains it) or EAGAIN
+        // still leaves the eventfd readable, which is all the waiter needs.
         let _ = (&self.wake).write(&1u64.to_ne_bytes());
     }
 
@@ -153,28 +188,69 @@ impl Shared {
         cvt(unsafe { epoll_ctl(self.epoll.as_raw_fd(), op, fd, &mut ev) }).map(drop)
     }
 
-    /// Fires every expired deadline and returns the time left until the
-    /// nearest one (`None`: no deadlines).
-    fn fire_timers(&self) -> Option<Duration> {
-        let now = Instant::now();
-        let mut fired = Vec::new();
-        let next = {
-            let mut t = self.timers.lock().expect("reactor timers");
-            let mut i = 0;
-            while i < t.due.len() {
-                if t.due[i].0 <= now {
-                    fired.push(t.due.swap_remove(i).1);
-                } else {
-                    i += 1;
+    fn live(&self) -> bool {
+        !self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Takes the driving token if it is free.
+    fn try_drive(&self) -> Option<Driving<'_>> {
+        self.driving
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+            .then(|| Driving(self))
+    }
+
+    /// Takes the token, or registers `waker` to hear when a driver leaves
+    /// and then tries once more. The retry closes the race with a driver
+    /// that left between the first try and the registration.
+    fn drive_or_follow(&self, waker: &Waker) -> Option<Driving<'_>> {
+        self.try_drive().or_else(|| {
+            {
+                let mut followers = self.followers.lock().expect("reactor followers");
+                if !followers.iter().any(|f| f.will_wake(waker)) {
+                    followers.push(waker.clone());
                 }
             }
-            t.sleep_until = t.due.iter().map(|d| d.0).min();
-            t.sleep_until
-        };
-        for w in fired {
+            self.try_drive()
+        })
+    }
+
+    /// Wakes every follower, so one of them takes the token over.
+    fn wake_followers(&self) {
+        let followers = std::mem::take(
+            &mut *self
+                .followers
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for w in followers {
             w.wake();
         }
-        next.map(|d| d.saturating_duration_since(now))
+    }
+
+    /// The time left until the nearest deadline (`None`: no deadlines),
+    /// recorded as the deadline the coming wait sleeps until.
+    fn next_timeout(&self) -> Option<Duration> {
+        let mut t = self.timers.lock().expect("reactor timers");
+        t.sleep_until = t.due.iter().map(|d| d.0).min();
+        t.sleep_until
+            .map(|d| d.saturating_duration_since(Instant::now()))
+    }
+
+    /// Takes every waker whose deadline has passed.
+    fn expired(&self) -> Vec<Waker> {
+        let now = Instant::now();
+        let mut fired = Vec::new();
+        let mut t = self.timers.lock().expect("reactor timers");
+        let mut i = 0;
+        while i < t.due.len() {
+            if t.due[i].0 <= now {
+                fired.push(t.due.swap_remove(i).1);
+            } else {
+                i += 1;
+            }
+        }
+        fired
     }
 
     /// Takes every waker stored in an fd slot. Also runs in `Drop`, so a
@@ -186,23 +262,169 @@ impl Shared {
     }
 }
 
-/// The readiness reactor: an epoll instance, its waker slots and its
-/// driver thread.
+/// The reactor's driving token, held by the one thread that may wait in
+/// its epoll; dropping it releases the token. Releasing does not wake the
+/// followers: the holder comes back, unless it is leaving for good.
+pub(crate) struct Driving<'a>(&'a Shared);
+
+impl Driving<'_> {
+    /// One pass of the wait: sleeps in `epoll_pwait2` until an fd is
+    /// ready, the eventfd is written or the nearest deadline passes, then
+    /// takes the ready slots and the expired deadlines and wakes them,
+    /// outside the locks. Returns at once if the reactor has shut down.
+    pub(crate) fn turn(&self) {
+        let shared = self.0;
+        if !shared.live() {
+            return;
+        }
+        let timeout = shared.next_timeout();
+        let ts = timeout.map(|d| Timespec {
+            tv_sec: c_long::try_from(d.as_secs()).unwrap_or(c_long::MAX),
+            tv_nsec: d.subsec_nanos() as c_long,
+        });
+        let ts_ptr = ts
+            .as_ref()
+            .map_or(std::ptr::null(), |t| t as *const Timespec);
+        let mut events = [EpollEvent { events: 0, data: 0 }; EVENTS];
+        // SAFETY: `events` holds `EVENTS` writable entries; `ts_ptr` is
+        // null (wait forever) or points at `ts`, live across the call; a
+        // null sigmask leaves the signal mask alone.
+        let n = unsafe {
+            epoll_pwait2(
+                shared.epoll.as_raw_fd(),
+                events.as_mut_ptr(),
+                EVENTS as c_int,
+                ts_ptr,
+                std::ptr::null(),
+            )
+        };
+        let n = match cvt(n) {
+            Ok(n) => n as usize,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+            Err(e) => panic!("epoll_pwait2: {e}"),
+        };
+        let wake_token = shared.wake.as_raw_fd() as u64;
+        let mut ready: [Option<Waker>; EVENTS] = [const { None }; EVENTS];
+        {
+            let mut slots = shared.slots.lock().expect("reactor slots");
+            for (ev, out) in events[..n].iter().zip(&mut ready) {
+                let token = ev.data;
+                if token == wake_token {
+                    let _ = (&shared.wake).read(&mut [0u8; 8]);
+                } else {
+                    *out = slots.get_mut(token as usize).and_then(Option::take);
+                }
+            }
+        }
+        // Wake outside the locks: waker code schedules tasks and may take
+        // executor locks.
+        for w in ready.into_iter().flatten().chain(shared.expired()) {
+            w.wake();
+        }
+    }
+}
+
+impl Drop for Driving<'_> {
+    fn drop(&mut self) {
+        self.0.driving.store(false, Ordering::SeqCst);
+    }
+}
+
+/// A thread's home reactor, as the executor waits on it.
+#[derive(Clone)]
+pub(crate) struct Home(Arc<Shared>);
+
+impl Home {
+    /// The calling thread's home, while it is live.
+    pub(crate) fn current() -> Option<Home> {
+        HOME.try_with(|home| {
+            let mut home = home.borrow_mut();
+            let shared = home.upgrade().filter(|s| s.live());
+            if shared.is_none() {
+                *home = Weak::new();
+            }
+            shared.map(Home)
+        })
+        .ok()
+        .flatten()
+    }
+
+    /// Takes the driving token, or registers `waker` as a follower and
+    /// tries once more.
+    pub(crate) fn drive_or_follow(&self, waker: &Waker) -> Option<Driving<'_>> {
+        self.0.drive_or_follow(waker)
+    }
+
+    /// Interrupts the wait of whichever thread is in this reactor's epoll.
+    pub(crate) fn interrupt(&self) {
+        self.0.notify();
+    }
+
+    /// False once the reactor has dropped.
+    pub(crate) fn is_live(&self) -> bool {
+        self.0.live()
+    }
+}
+
+thread_local! {
+    /// The first live reactor this thread parked on as an executor thread.
+    static HOME: RefCell<Weak<Shared>> = const { RefCell::new(Weak::new()) };
+    /// How many executor loops (`block_on`, a pool worker) this thread is in.
+    static SERVING: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Marks the calling thread as an executor thread until dropped: its
+/// parks then adopt a home reactor rather than start a fallback driver.
+/// Leaving the outermost loop wakes the home's followers, since this
+/// thread will not wait in that epoll again.
+pub(crate) struct Serving(());
+
+pub(crate) fn serve() -> Serving {
+    SERVING.with(|s| s.set(s.get() + 1));
+    Serving(())
+}
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        let depth = SERVING.with(|s| {
+            s.set(s.get() - 1);
+            s.get()
+        });
+        if depth == 0 {
+            if let Some(home) = Home::current() {
+                home.0.wake_followers();
+            }
+        }
+    }
+}
+
+/// Unparks one thread: the fallback driver's follower waker.
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+/// The readiness reactor: an epoll instance and its waker slots, waited
+/// on by the executor threads that park tasks on it.
 ///
-/// Dropping the reactor stops the driver and wakes everything still
-/// parked on it, so no task is left sleeping on a dead reactor.
+/// Dropping the reactor stops its fallback driver, if one started, and
+/// wakes everything still parked on it, so no task is left sleeping on a
+/// dead reactor.
 pub struct Reactor {
     shared: Arc<Shared>,
-    driver: Option<std::thread::JoinHandle<()>>,
+    fallback: OnceLock<JoinHandle<()>>,
 }
 
 impl Reactor {
-    /// Starts a reactor. Returns once its `hemlock-reactor` driver thread
-    /// is running, so a thread listing taken right after sees it by name.
+    /// Creates a reactor. It starts no thread: executor threads that park
+    /// on it wait in its epoll themselves.
     ///
     /// # Panics
     ///
-    /// If the process is out of file descriptors or threads.
+    /// If the process is out of file descriptors.
     pub fn new() -> Self {
         // SAFETY: plain syscalls; each returned fd is checked, then owned
         // by exactly one `OwnedFd`/`File`, which closes it.
@@ -222,29 +444,17 @@ impl Reactor {
             }),
             stopped: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
+            driving: AtomicBool::new(false),
+            followers: Mutex::new(Vec::new()),
         });
         // The eventfd stays registered, level-triggered, for good. Its fd
         // number is its token: no socket can share it while it is open.
         shared
             .ctl(EPOLL_CTL_ADD, shared.wake.as_raw_fd(), EPOLLIN)
             .expect("register the reactor's eventfd");
-        // std names a thread from inside it, before running its closure:
-        // the driver's first act signals `new` that the name is set.
-        let (running, started) = mpsc::sync_channel(1);
-        let driver = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("hemlock-reactor".to_string())
-                .spawn(move || {
-                    let _ = running.send(());
-                    drive(&shared);
-                })
-                .expect("spawn reactor driver")
-        };
-        started.recv().expect("reactor driver started");
         Self {
             shared,
-            driver: Some(driver),
+            fallback: OnceLock::new(),
         }
     }
 
@@ -258,6 +468,7 @@ impl Reactor {
     /// matters). One task parks on an fd at a time: a second park
     /// replaces the first's waker.
     pub fn park(&self, fd: impl AsFd, interest: Interest, waker: &Waker) -> io::Result<()> {
+        self.adopt();
         let fd = fd.as_fd().as_raw_fd();
         let ix = usize::try_from(fd).expect("an open fd is nonnegative");
         {
@@ -290,19 +501,20 @@ impl Reactor {
     /// woken task re-checks the clock and registers again if it was
     /// woken for another reason.
     pub fn register_until(&self, waker: &Waker, deadline: Instant) {
+        self.adopt();
         let earlier = {
             let mut t = self.shared.timers.lock().expect("reactor timers");
             t.due.push((deadline, waker.clone()));
             let earlier = t.sleep_until.is_none_or(|s| deadline < s);
             if earlier {
                 // Later registrations up to this deadline need no signal
-                // of their own: the driver recomputes its timeout first.
+                // of their own: the waiter recomputes its timeout first.
                 t.sleep_until = Some(deadline);
             }
             earlier
         };
         if earlier {
-            // The driver sleeps past this deadline: cut its wait short.
+            // The waiter sleeps past this deadline: cut its wait short.
             self.shared.notify();
         }
     }
@@ -323,6 +535,52 @@ impl Reactor {
     pub fn stopped(&self) -> bool {
         self.shared.stopped.load(Ordering::SeqCst)
     }
+
+    /// Makes sure some thread will wait in this reactor's epoll for the
+    /// caller. An executor thread adopts the reactor as its home if it
+    /// has no live one, and then waits there itself. A thread outside any
+    /// executor, or one whose live home is another reactor, starts the
+    /// fallback driver instead.
+    fn adopt(&self) {
+        let mine = Arc::as_ptr(&self.shared);
+        let served = SERVING.with(Cell::get) > 0
+            && HOME
+                .try_with(|home| {
+                    let mut home = home.borrow_mut();
+                    if std::ptr::eq(home.as_ptr(), mine) {
+                        return true;
+                    }
+                    if home.upgrade().is_some_and(|s| s.live()) {
+                        return false;
+                    }
+                    *home = Arc::downgrade(&self.shared);
+                    true
+                })
+                .unwrap_or(false);
+        if !served {
+            self.start_fallback();
+        }
+    }
+
+    /// Starts the `hemlock-reactor` thread, once; returns when it runs,
+    /// so a thread listing taken right after sees it by name.
+    fn start_fallback(&self) {
+        self.fallback.get_or_init(|| {
+            let shared = Arc::clone(&self.shared);
+            // std names a thread from inside it, before running its
+            // closure: the driver's first act signals that the name is set.
+            let (running, started) = mpsc::sync_channel(1);
+            let driver = std::thread::Builder::new()
+                .name("hemlock-reactor".to_string())
+                .spawn(move || {
+                    let _ = running.send(());
+                    fallback(&shared);
+                })
+                .expect("spawn reactor driver");
+            started.recv().expect("reactor driver started");
+            driver
+        });
+    }
 }
 
 impl Default for Reactor {
@@ -335,7 +593,9 @@ impl Drop for Reactor {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.notify();
-        if let Some(d) = self.driver.take() {
+        // A fallback still waiting for the token is one of the followers.
+        self.shared.wake_followers();
+        if let Some(d) = self.fallback.take() {
             let _ = d.join();
         }
         // Anything still parked gets one final wake so its task can run
@@ -355,55 +615,23 @@ impl Drop for Reactor {
     }
 }
 
-fn drive(shared: &Shared) {
-    let mut events = [EpollEvent { events: 0, data: 0 }; EVENTS];
-    let mut woken: Vec<Waker> = Vec::new();
-    let wake_token = shared.wake.as_raw_fd() as u64;
-    loop {
-        let timeout = shared.fire_timers();
-        if shared.shutdown.load(Ordering::SeqCst) {
+/// The fallback driver: waits for the token as a follower, then holds it
+/// and turns until the reactor drops.
+fn fallback(shared: &Shared) {
+    let me = Waker::from(Arc::new(Unpark(std::thread::current())));
+    let driving = loop {
+        if let Some(d) = shared.drive_or_follow(&me) {
+            break d;
+        }
+        // Re-checked after registering: `Drop` sets the flag, then wakes
+        // the followers.
+        if !shared.live() {
             return;
         }
-        let ts = timeout.map(|d| Timespec {
-            tv_sec: c_long::try_from(d.as_secs()).unwrap_or(c_long::MAX),
-            tv_nsec: d.subsec_nanos() as c_long,
-        });
-        let ts_ptr = ts
-            .as_ref()
-            .map_or(std::ptr::null(), |t| t as *const Timespec);
-        // SAFETY: `events` holds `EVENTS` writable entries; `ts_ptr` is
-        // null (wait forever) or points at `ts`, live across the call; a
-        // null sigmask leaves the signal mask alone.
-        let n = unsafe {
-            epoll_pwait2(
-                shared.epoll.as_raw_fd(),
-                events.as_mut_ptr(),
-                EVENTS as c_int,
-                ts_ptr,
-                std::ptr::null(),
-            )
-        };
-        let n = match cvt(n) {
-            Ok(n) => n as usize,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-            Err(e) => panic!("epoll_pwait2: {e}"),
-        };
-        {
-            let mut slots = shared.slots.lock().expect("reactor slots");
-            for ev in &events[..n] {
-                let token = ev.data;
-                if token == wake_token {
-                    let _ = (&shared.wake).read(&mut [0u8; 8]);
-                } else if let Some(w) = slots.get_mut(token as usize).and_then(Option::take) {
-                    woken.push(w);
-                }
-            }
-        }
-        // Wake outside the lock: waker code schedules tasks and may take
-        // executor locks.
-        for w in woken.drain(..) {
-            w.wake();
-        }
+        std::thread::park();
+    };
+    while shared.live() {
+        driving.turn();
     }
 }
 
@@ -563,10 +791,15 @@ mod tests {
 
     #[test]
     fn idle_reactor_spins_nothing() {
-        // Nothing parked: the driver sleeps in `epoll_pwait2` with no
-        // timeout, and drop must still cut that wait short (a hang here
-        // would time the suite out).
+        // One silent socket parked from a plain thread: the fallback
+        // driver sleeps in `epoll_pwait2` with no timeout, and drop must
+        // still cut that wait short (a hang here would time the suite out).
         let reactor = Reactor::new();
+        let (a, _b) = UnixStream::pair().unwrap();
+        reactor
+            .park(&a, Interest::Readable, &Waker::from(counting()))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(5));
         let t0 = Instant::now();
         drop(reactor);
         assert!(t0.elapsed() < Duration::from_secs(5));
@@ -590,29 +823,36 @@ mod tests {
     }
 
     #[test]
-    fn driver_is_named_when_new_returns() {
-        fn tasks() -> Vec<(String, String)> {
-            std::fs::read_dir("/proc/self/task")
-                .unwrap()
-                .filter_map(|t| {
-                    let path = t.ok()?.path();
-                    let comm = std::fs::read_to_string(path.join("comm")).ok()?;
-                    Some((path.display().to_string(), comm.trim().to_string()))
-                })
-                .collect()
-        }
-        let before = tasks();
+    fn new_starts_no_thread_and_a_plain_park_starts_the_fallback() {
         let reactor = Reactor::new();
-        let started: Vec<String> = tasks()
-            .into_iter()
-            .filter(|t| !before.iter().any(|b| b.0 == t.0))
-            .map(|t| t.1)
+        assert!(
+            reactor.fallback.get().is_none(),
+            "Reactor::new started a thread"
+        );
+        // The test thread runs no executor: nobody else would wait in this
+        // epoll for it, so its first park starts the fallback driver.
+        let (a, _b) = UnixStream::pair().unwrap();
+        let flag = counting();
+        reactor
+            .park(&a, Interest::Readable, &Waker::from(Arc::clone(&flag)))
+            .unwrap();
+        let driver = reactor
+            .fallback
+            .get()
+            .expect("a plain-thread park starts the fallback");
+        assert_eq!(driver.thread().name(), Some("hemlock-reactor"));
+        // Named by the time `park` returns, so a thread listing sees it.
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim().to_string())
             .collect();
         assert!(
-            started.iter().any(|name| name == "hemlock-reactor"),
-            "threads started by Reactor::new: {started:?}"
+            names.iter().any(|n| n == "hemlock-reactor"),
+            "threads: {names:?}"
         );
         drop(reactor);
+        assert_eq!(flag.0.load(Ordering::SeqCst), 1, "drop wakes the parker");
     }
 
     #[test]

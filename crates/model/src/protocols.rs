@@ -18,8 +18,8 @@
 //! names its scenario.
 
 use hemlock_simlock::protocols::{
-    DekkerSim, FcRole, FcSim, QueueRole, ReactorSim, RwRole, RwSim, TwoShardOp, TwoShardSim,
-    WakerQueueSim,
+    DekkerSim, DriverSim, FcRole, FcSim, QueueRole, ReactorSim, RwRole, RwSim, TwoShardOp,
+    TwoShardSim, WakerQueueSim,
 };
 use hemlock_simlock::{ProtoViolation, ProtoWorld, ProtocolSim, SplitMix64};
 use std::collections::HashSet;
@@ -322,6 +322,10 @@ pub fn post_seed_scenarios() -> Vec<ProtoScenario> {
         // Reactor park and stop: a reader parking through store-then-arm
         // against a peer writing twice, the driver and a stopper.
         scenario("proto.reactor", || ReactorSim::new(2)),
+        // Waiting in the epoll: a pool worker leading from it against a
+        // pusher, a block_on follower sharing the reactor, and the peer
+        // that completes the follower and readies the worker's socket.
+        scenario("proto.driver", DriverSim::new),
     ]
 }
 
@@ -332,7 +336,7 @@ mod tests {
     #[test]
     fn registry_names_are_stable_and_unique() {
         let scenarios = post_seed_scenarios();
-        assert_eq!(scenarios.len(), 6);
+        assert_eq!(scenarios.len(), 7);
         let names: Vec<&str> = scenarios.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
@@ -343,6 +347,7 @@ mod tests {
                 "proto.rw",
                 "proto.flat-combining",
                 "proto.reactor",
+                "proto.driver",
             ]
         );
         for s in &scenarios {

@@ -163,8 +163,8 @@ fn main() {
             stats.connections, stats.requests
         );
     } else {
-        // Serve until killed: the acceptor thread owns the listener, so
-        // the main thread just parks.
+        // Serve until killed: the acceptor task owns the listener and
+        // the pool's workers serve, so the main thread just sleeps.
         loop {
             std::thread::sleep(Duration::from_secs(3600));
         }

@@ -14,10 +14,11 @@
 //!   arbitrary packetization;
 //! - [`aio`] + [`server`] — nonblocking-socket futures parked on the
 //!   harness epoll [`hemlock_harness::Reactor`] (woken only when their
-//!   own socket is ready), and a task-per-connection
-//!   server on the in-tree `TaskPool` serving any
-//!   [`hemlock_minikv::AsyncKv`] (i.e. a `Db` over any `async.*`
-//!   catalog lock) with graceful, no-request-lost shutdown;
+//!   own socket is ready, by the pool worker that will serve them), and
+//!   a task-per-connection server on the in-tree `TaskPool` — the
+//!   acceptor is a pool task too, so the server starts no thread —
+//!   serving any [`hemlock_minikv::AsyncKv`] (i.e. a `Db` over any
+//!   `async.*` catalog lock) with graceful, no-request-lost shutdown;
 //! - [`client`] — a blocking pipelined [`Client`] plus the async
 //!   [`AsyncConn`] the `loadgen` bench uses to drive many connections
 //!   per thread.

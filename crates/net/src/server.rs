@@ -2,18 +2,20 @@
 //!
 //! Shape:
 //!
-//! - an **acceptor** — a dedicated OS thread driving an async accept
-//!   loop with `block_on`. It cannot run on the pool itself: it holds an
-//!   `Arc<TaskPool>` to spawn connection tasks, and if that `Arc` were
-//!   the last one dropped *inside* a pool worker, the pool's drop would
-//!   join its own worker and deadlock. A plain thread makes that drop
-//!   always safe, and keeps every pool worker available for serving.
+//! - an **acceptor** — a pool task running the async accept loop, which
+//!   spawns one connection task per accepted socket. It holds an
+//!   `Arc<TaskPool>` to spawn them, and [`ServerHandle`] holds another
+//!   until it has joined the acceptor, so the pool's last drop never
+//!   happens on one of its own workers (which would join itself). The
+//!   acceptor's future is dropped before its join slot is filled.
 //! - one **connection task** per accepted socket, spawned on the pool.
 //!   Each task loops: decode every complete request, dispatch it to the
 //!   [`AsyncKv`] store (suspending on busy shards, never blocking a
 //!   worker), flush the encoded responses, then park for more bytes.
 //! - a shared epoll [`Reactor`] parking all of the above until their
-//!   socket is ready.
+//!   socket is ready. The pool's idle workers wait in its epoll
+//!   themselves, so a ready socket wakes the worker that serves it; the
+//!   server starts no thread of its own.
 //!
 //! **Graceful shutdown** ([`ServerHandle::shutdown`]) calls
 //! [`Reactor::stop`], which sets the reactor's stop flag and wakes every
@@ -31,7 +33,7 @@
 
 use crate::aio;
 use crate::proto::{encode_response, Decoder, Request, Response};
-use hemlock_harness::executor::{block_on, JoinHandle, TaskPool};
+use hemlock_harness::executor::{JoinHandle, TaskPool};
 use hemlock_harness::Reactor;
 use hemlock_minikv::{AsyncKv, KvOp};
 use hemlock_obs::trace;
@@ -71,7 +73,10 @@ pub struct ServerStats {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     reactor: Arc<Reactor>,
-    acceptor: Option<std::thread::JoinHandle<(usize, Vec<JoinHandle<u64>>)>>,
+    acceptor: Option<JoinHandle<(usize, Vec<JoinHandle<u64>>)>>,
+    /// Kept until the acceptor is joined: the acceptor's own `Arc` is
+    /// then never the pool's last.
+    _pool: Arc<TaskPool>,
 }
 
 impl ServerHandle {
@@ -86,12 +91,7 @@ impl ServerHandle {
     /// block).
     pub fn shutdown(mut self) -> ServerStats {
         self.reactor.stop();
-        let (connections, conns) = self
-            .acceptor
-            .take()
-            .expect("shutdown called once")
-            .join()
-            .expect("acceptor thread");
+        let (connections, conns) = self.acceptor.take().expect("shutdown called once").join();
         let requests = conns.into_iter().map(JoinHandle::join).sum();
         ServerStats {
             connections,
@@ -107,7 +107,7 @@ impl Drop for ServerHandle {
             // Join the acceptor (the stop wakes it) but detach the
             // connection handles: resuming a task panic inside drop
             // could double-panic, and the tasks stop on the same flag.
-            let _ = t.join();
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.join()));
         }
     }
 }
@@ -135,52 +135,50 @@ pub fn spawn_server_with(
     let local_addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let reactor = Arc::new(Reactor::new());
-    let acceptor = {
-        let pool = Arc::clone(pool);
-        let reactor = Arc::clone(&reactor);
-        std::thread::Builder::new()
-            .name("hemlock-accept".to_string())
-            .spawn(move || accept_loop(&listener, &pool, kv, &reactor, opts))
-            .expect("spawn acceptor thread")
-    };
+    let acceptor = pool.spawn(accept_loop(
+        listener,
+        Arc::clone(pool),
+        kv,
+        Arc::clone(&reactor),
+        opts,
+    ));
     Ok(ServerHandle {
         local_addr,
         reactor,
         acceptor: Some(acceptor),
+        _pool: Arc::clone(pool),
     })
 }
 
-/// Runs on the acceptor thread; returns (connections accepted, one
-/// [`JoinHandle`] per connection task).
-fn accept_loop(
-    listener: &TcpListener,
-    pool: &Arc<TaskPool>,
+/// The acceptor task; returns (connections accepted, one [`JoinHandle`]
+/// per connection task).
+async fn accept_loop(
+    listener: TcpListener,
+    pool: Arc<TaskPool>,
     kv: Arc<dyn AsyncKv>,
-    reactor: &Arc<Reactor>,
+    reactor: Arc<Reactor>,
     opts: ServerOptions,
 ) -> (usize, Vec<JoinHandle<u64>>) {
-    block_on(async {
-        let mut conns = Vec::new();
-        loop {
-            match aio::accept(listener, reactor).await {
-                Ok(Some((stream, _peer))) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    conns.push(pool.spawn(serve_conn(
-                        stream,
-                        Arc::clone(&kv),
-                        Arc::clone(reactor),
-                        opts,
-                    )));
+    let mut conns = Vec::new();
+    loop {
+        match aio::accept(&listener, &reactor).await {
+            Ok(Some((stream, _peer))) => {
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
                 }
-                Ok(None) => break, // graceful stop
-                Err(_) => break,   // listener failed; stop accepting
+                let _ = stream.set_nodelay(true);
+                conns.push(pool.spawn(serve_conn(
+                    stream,
+                    Arc::clone(&kv),
+                    Arc::clone(&reactor),
+                    opts,
+                )));
             }
+            Ok(None) => break, // graceful stop
+            Err(_) => break,   // listener failed; stop accepting
         }
-        (conns.len(), conns)
-    })
+    }
+    (conns.len(), conns)
 }
 
 /// One connection's lifetime; returns the number of requests served

@@ -15,7 +15,9 @@
 //! | [`rw`] | `hemlock-locks::rw::HemlockRw` drain/withdrawal | `hemlock-rw` |
 //! | [`fc`] | `hemlock-shard::batch` record lifecycle | `flat-combining` |
 //! | [`reactor`] | `hemlock-harness::reactor` park and stop | `reactor` |
+//! | [`driver`] | `hemlock-harness::executor` waiting in the reactor's epoll | `driver` |
 
+pub mod driver;
 pub mod fc;
 pub mod reactor;
 pub mod rw;
@@ -23,6 +25,7 @@ pub mod twoshard;
 pub mod wakerqueue;
 pub mod wakerset;
 
+pub use driver::{DriverBug, DriverRole, DriverSim, DriverThread};
 pub use fc::{FcBug, FcRole, FcSim, FcThread};
 pub use reactor::{ReactorBug, ReactorRole, ReactorSim, ReactorThread};
 pub use rw::{RwBug, RwRole, RwSim, RwThread};

@@ -9,13 +9,16 @@
 //! release mid-update, a skipped writer-flag check, a leaked read
 //! indicator, a DONE store deferred past the lock release, a reactor
 //! registration armed before its waker is stored, a skipped stop
-//! re-check) is caught by a named invariant or as a deadlock. The long-horizon seeded random walks
+//! re-check, a pool leader published after the queue lock drops, a
+//! driver leaving without a hand-off, an unpark sent to a thread waiting
+//! in epoll) is caught by a named invariant or as a deadlock. The long-horizon seeded random walks
 //! (the `modelbench` CI job runs millions of steps) get a smoke test here.
 
 use hemlock_model::{check_proto_random_run, explore_proto, post_seed_scenarios};
 use hemlock_simlock::protocols::{
-    DekkerBug, DekkerSim, FcBug, FcRole, FcSim, QueueBug, QueueRole, ReactorBug, ReactorSim, RwBug,
-    RwRole, RwSim, TwoShardBug, TwoShardOp, TwoShardSim, WakerQueueSim,
+    DekkerBug, DekkerSim, DriverBug, DriverSim, FcBug, FcRole, FcSim, QueueBug, QueueRole,
+    ReactorBug, ReactorSim, RwBug, RwRole, RwSim, TwoShardBug, TwoShardOp, TwoShardSim,
+    WakerQueueSim,
 };
 use hemlock_simlock::{ProtoWorld, ProtocolSim};
 
@@ -260,6 +263,41 @@ fn reactor_skipped_stop_recheck_loses_wakeups() {
         ReactorSim::with_bug(2, ReactorBug::SkipStopRecheck),
         &["deadlock-freedom", "no-lost-wakeup"],
         "reactor SkipStopRecheck",
+    );
+}
+
+#[test]
+fn driver_leader_published_late_loses_wakeups() {
+    // Publishing the pool's leader after the queue lock drops: a push in
+    // between sees no idle worker and no leader, so it rouses nobody while
+    // the worker heads into the epoll with the task queued.
+    assert_caught(
+        DriverSim::with_bug(DriverBug::LeaderPublishedLate),
+        &["deadlock-freedom", "no-lost-wakeup"],
+        "driver LeaderPublishedLate",
+    );
+}
+
+#[test]
+fn driver_leaving_without_hand_off_strands_the_reactor() {
+    // The block_on thread returns without waking the worker that
+    // followed it: the worker sleeps on its condvar, and the socket that
+    // becomes ready afterwards has nobody waiting in the epoll.
+    assert_caught(
+        DriverSim::with_bug(DriverBug::NoHandOffOnLeave),
+        &["deadlock-freedom", "no-lost-wakeup"],
+        "driver NoHandOffOnLeave",
+    );
+}
+
+#[test]
+fn driver_unpark_while_driving_loses_wakeups() {
+    // A wake that unparks a thread waiting in epoll_pwait2 instead of
+    // writing the eventfd: the thread never sees it.
+    assert_caught(
+        DriverSim::with_bug(DriverBug::UnparkWhileDriving),
+        &["deadlock-freedom", "no-lost-wakeup"],
+        "driver UnparkWhileDriving",
     );
 }
 

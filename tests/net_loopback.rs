@@ -7,7 +7,7 @@
 //! flushed, so `shutdown().requests == responses the client received`
 //! proves no request was dropped on the floor and no response was left
 //! unflushed. The test returning at all proves no task leaked —
-//! `shutdown` joins the acceptor thread and every per-connection task.
+//! `shutdown` joins the acceptor task and every per-connection task.
 
 use hemlock_async::catalog::{self, CatalogEntry, TimedLockVisitor, View};
 use hemlock_core::raw::RawTryLock;
@@ -244,4 +244,46 @@ fn shutdown_returns_promptly_with_idle_connected_peers() {
     assert_eq!(stats.connections, PEERS);
     assert_eq!(stats.requests, PEERS as u64);
     drop(idle);
+}
+
+/// One pool serving two live servers: its only worker parks the first
+/// server's sockets on that server's reactor, its home, so the second
+/// reactor has no executor thread of its own to wait in its epoll. Its
+/// fallback driver must serve it; without one, this test hangs.
+#[test]
+fn two_live_servers_on_one_worker_each_serve_their_peers() {
+    const TRIPS: u64 = 100;
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let pool = Arc::new(TaskPool::new(1));
+        let spawn = || {
+            catalog::with_timed_lock_type(
+                catalog::find(View::Async, "async.hemlock")
+                    .expect("async.hemlock is in the catalog"),
+                Spawn {
+                    pool: &pool,
+                    opts: ServerOptions::default(),
+                },
+            )
+            .expect("async entries are trylock-capable")
+        };
+        let servers = [spawn(), spawn()];
+        let mut clients: Vec<Client> = servers
+            .iter()
+            .map(|s| Client::connect(s.local_addr()).expect("connect"))
+            .collect();
+        for i in 0..TRIPS {
+            for c in &mut clients {
+                let key = format!("k{}", i % 8).into_bytes();
+                c.put(&key, b"v").expect("put");
+            }
+        }
+        drop(clients);
+        let served: Vec<u64> = servers.into_iter().map(|s| s.shutdown().requests).collect();
+        done.send(served).unwrap();
+    });
+    let served = finished
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("both servers must answer every round trip");
+    assert_eq!(served, [TRIPS, TRIPS]);
 }
