@@ -1,8 +1,8 @@
 //! Appendix A/B ablation: the Hemlock variant family side by side (any
 //! catalog subset via `--lock`; defaults to the full family).
 //!
-//! DESIGN.md calls out the family's design choices; this binary measures
-//! each variant under three regimes:
+//! The paper's appendices call out the family's design choices; this
+//! binary measures each variant under three regimes:
 //!
 //! - single-thread latency (ns per acquire/release pair),
 //! - MutexBench maximum contention (central-lock throughput),
@@ -10,7 +10,8 @@
 //!
 //! plus the simulated coherence cost per contended pair where the
 //! state-machine model implements the variant (parking/chain variants wait
-//! through OS primitives and are not modeled).
+//! through OS primitives and are not modeled); "Hardware substitutions" in
+//! docs/ARCHITECTURE.md says what the simulation stands in for.
 
 use hemlock_bench::{locks_from_args, sim_flavor_for, FAMILY_LOCKS};
 use hemlock_coherence::{flavor_offcore, Protocol};

@@ -1,8 +1,9 @@
 //! Figures 4/5: MutexBench on SPARC T7-2 (512 logical CPUs, MOESI,
 //! MONITOR-MWAIT-based CTR).
 //!
-//! No SPARC hardware is available here, so per DESIGN.md §3 this binary
-//! demonstrates the two things those figures add over Figures 2/3:
+//! Without SPARC hardware (see "Hardware substitutions" in
+//! docs/ARCHITECTURE.md) this binary demonstrates the two things those
+//! figures add over Figures 2/3:
 //!
 //! 1. **Portability** — the identical harness runs unmodified on this
 //!    host's ISA (the paper's point is that Hemlock is not

@@ -2,10 +2,11 @@
 //! MOESI). "The results on AMD concur with those observed on the Intel
 //! system."
 //!
-//! No EPYC here; per DESIGN.md §3 we rerun the identical harness on the
-//! host (the binaries are the same — the paper likewise reused "the same
-//! binaries built on the Intel X5-2 system") and check the concurrence
-//! claim structurally: the lock ordering at each thread count must match
+//! Without an EPYC machine (see "Hardware substitutions" in
+//! docs/ARCHITECTURE.md) we rerun the identical harness on the host (the
+//! binaries are the same — the paper likewise reused "the same binaries
+//! built on the Intel X5-2 system") and check the concurrence claim
+//! structurally: the lock ordering at each thread count must match
 //! between two independent runs, echoing the paper's Intel-vs-AMD
 //! comparison.
 

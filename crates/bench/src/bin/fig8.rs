@@ -3,9 +3,10 @@
 //! The paper populated a LevelDB 1.20 database with `fillseq`, then ran
 //! fixed-duration `readrandom` across a thread sweep, swapping the central
 //! `DBImpl::Mutex` between lock algorithms. Here the database is
-//! `hemlock-minikv` (see DESIGN.md §3) with its central mutex generic over
-//! the catalog-selected locks. Shape to reproduce: Ticket slightly ahead at
-//! low thread counts, then fading; MCS/CLH/Hemlock clustered.
+//! `hemlock-minikv` (see "Hardware substitutions" in docs/ARCHITECTURE.md)
+//! with its central mutex generic over the catalog-selected locks. Shape
+//! to reproduce: Ticket slightly ahead at low thread counts, then fading;
+//! MCS/CLH/Hemlock clustered.
 
 use hemlock_bench::{
     figure_spec, locks_from_args, print_series, substitution_note, Sweep, FIGURE_LOCKS,

@@ -7,7 +7,8 @@
 //!   is configurable and defaults to the container's capacity).
 //! - **OffCore/pair** — offcore accesses (demand reads + RFOs) per pair,
 //!   from the MESIF cache-coherence simulator replaying the same workload
-//!   (the paper read PMU counters; see DESIGN.md §3 for the substitution).
+//!   (the paper read PMU counters; see "Hardware substitutions" in
+//!   docs/ARCHITECTURE.md).
 //!
 //! Shape to reproduce: Hemlock+CTR has the highest rate and the lowest
 //! offcore; Hemlock− sits between; MCS/CLH are moderately elevated (the

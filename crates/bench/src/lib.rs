@@ -225,7 +225,10 @@ pub fn print_series(
 /// container does not have.
 pub fn substitution_note(what: &str) {
     eprintln!("# SUBSTITUTION: {what}");
-    eprintln!("# See DESIGN.md §3 for why the substitution preserves the paper's claim.");
+    eprintln!(
+        "# See \"Hardware substitutions\" in docs/ARCHITECTURE.md for why the substitution \
+         preserves the paper's claim."
+    );
 }
 
 #[cfg(test)]

@@ -315,6 +315,9 @@ impl<F: Future> Future for CatchUnwind<F> {
             Ok(Poll::Pending) => Poll::Pending,
             Err(panic) => {
                 self.inner = None;
+                if hemlock_obs::enabled() {
+                    hemlock_obs::registry().pool_task_panics.inc();
+                }
                 Poll::Ready(Err(panic))
             }
         }
@@ -622,6 +625,9 @@ mod tests {
 
     #[test]
     fn task_panic_reports_at_join_and_spares_the_worker() {
+        // The registry is process-wide: compare a delta, never a total.
+        let panics = || hemlock_obs::registry().pool_task_panics.get();
+        let before = panics();
         let pool = TaskPool::new(1);
         let bad = pool.spawn(async {
             yield_now().await;
@@ -629,6 +635,7 @@ mod tests {
         });
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.join()));
         assert!(r.is_err(), "join must resume the task's panic");
+        assert!(panics() > before, "the caught panic must be counted");
         // The single worker survived the panic: the pool still runs tasks.
         assert_eq!(pool.spawn(async { 11 }).join(), 11);
     }

@@ -105,6 +105,8 @@ pub struct DbStats {
     pub freezes: AtomicU64,
     /// Run merges.
     pub compactions: AtomicU64,
+    /// Runs a merge copied because a reader's snapshot still held them.
+    pub compaction_copies: AtomicU64,
 }
 
 /// A LevelDB-shaped KV store generic over the lock algorithm used for both
@@ -339,27 +341,42 @@ impl<L: RawLock> Db<L> {
         if self.mem.approximate_bytes() < self.opts.memtable_bytes {
             return; // another thread froze first
         }
-        let drained = self.mem.drain_sorted();
+        let drained = self.mem.drain();
         if drained.is_empty() {
             return;
         }
         let runs = g.runs();
-        runs.insert(0, Arc::new(Run::from_sorted(drained)));
+        runs.insert(0, Arc::new(Run::from_entries(drained)));
         self.stats.freezes.fetch_add(1, Ordering::Relaxed);
         if let Some(reg) = obs() {
             reg.minikv_freezes.inc();
         }
         if runs.len() > self.opts.max_runs {
             // Fold the two oldest runs together (simplified foreground
-            // compaction; LevelDB does this on a background thread).
-            let older = runs.pop().expect("len > max_runs >= 1");
-            let newer = runs.pop().expect("len > max_runs >= 1");
-            runs.push(Arc::new(Run::merge(&newer, &older)));
+            // compaction; LevelDB does this on a background thread). The
+            // merge moves them, unless a snapshot holds one (`take_run`).
+            let older = self.take_run(runs.pop().expect("len > max_runs >= 1"));
+            let newer = self.take_run(runs.pop().expect("len > max_runs >= 1"));
+            runs.push(Arc::new(Run::merge(newer, older)));
             self.stats.compactions.fetch_add(1, Ordering::Relaxed);
             if let Some(reg) = obs() {
                 reg.minikv_compactions.inc();
             }
         }
+    }
+
+    /// Takes a run out of its `Arc` for a merge: moved when the run list
+    /// held the last handle, else copied (and counted), so a reader's
+    /// snapshot keeps answering from its own. No new snapshot can start
+    /// meanwhile: the caller holds the central mutex.
+    fn take_run(&self, run: Arc<Run>) -> Run {
+        Arc::try_unwrap(run).unwrap_or_else(|held| {
+            self.stats.compaction_copies.fetch_add(1, Ordering::Relaxed);
+            if let Some(reg) = obs() {
+                reg.minikv_compaction_copies.inc();
+            }
+            Run::clone(&held)
+        })
     }
 
     /// Inserts or overwrites a key.
@@ -984,6 +1001,135 @@ mod tests {
                 assert_eq!(got, Some(b"live".to_vec()));
             }
         }
+    }
+
+    #[test]
+    fn a_held_snapshot_survives_compaction() {
+        let db: Db<Hemlock> = Db::new(tiny_opts());
+        let keys: Vec<Vec<u8>> = (0..100u32)
+            .map(|i| format!("key{i:05}").into_bytes())
+            .collect();
+        for k in &keys {
+            db.put(k, b"old");
+        }
+        // Taken the way `get` takes it.
+        let snapshot: Vec<Arc<Run>> = DbReadGuard::lock(&db).runs().clone();
+        assert!(snapshot.len() >= 2, "the snapshot must hold mergeable runs");
+        let lens: Vec<usize> = snapshot.iter().map(|r| r.len()).collect();
+        let held_answers_old = |snapshot: &[Arc<Run>]| {
+            for run in snapshot {
+                for k in &keys {
+                    if let Some(slot) = run.get(k) {
+                        assert_eq!(slot.as_deref(), Some(b"old".as_slice()));
+                    }
+                }
+            }
+        };
+        held_answers_old(&snapshot);
+        let stat = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        // `stats()` counts this database alone; the registry is
+        // process-wide, so only its rise is checked.
+        let reg_copies = || hemlock_obs::registry().minikv_compaction_copies.get();
+        let (reg0, copies0) = (reg_copies(), stat(&db.stats().compaction_copies));
+        let overwrite_until_compaction = |value: &[u8]| {
+            let start = stat(&db.stats().compactions);
+            for _ in 0..50 {
+                for k in &keys {
+                    db.put(k, value);
+                }
+                if stat(&db.stats().compactions) > start {
+                    return;
+                }
+            }
+            panic!("no compaction after 50 rounds of overwrites");
+        };
+
+        // Copy path: the merged runs are still held by the snapshot.
+        overwrite_until_compaction(b"new");
+        let copies1 = stat(&db.stats().compaction_copies);
+        assert!(copies1 > copies0, "merging held runs must copy them");
+        assert!(reg_copies() > reg0, "the registry must count the copy");
+        assert_eq!(snapshot.iter().map(|r| r.len()).collect::<Vec<_>>(), lens);
+        held_answers_old(&snapshot);
+        for k in &keys {
+            assert_eq!(db.get(k), Some(b"new".to_vec()));
+        }
+
+        // Move path: nothing but the run list holds a run any more.
+        drop(snapshot);
+        overwrite_until_compaction(b"newer");
+        assert_eq!(stat(&db.stats().compaction_copies), copies1);
+        for k in &keys {
+            assert_eq!(db.get(k), Some(b"newer".to_vec()));
+        }
+    }
+
+    #[test]
+    fn seeded_mixed_ops_match_a_btreemap_oracle() {
+        use std::collections::BTreeMap;
+        let db: Db<Hemlock> = Db::new(tiny_opts());
+        let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        // splitmix64, fixed seed: the same op sequence on every run.
+        let mut state = 0x5EED_u64;
+        let mut draw = |n: u64| {
+            state = state.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            (z ^ (z >> 31)) % n
+        };
+        let mut issued = 0u32;
+        while issued < 6_000 {
+            issued += 1;
+            let (kind, key, value) = (draw(8), draw(256), draw(1 << 32) as u32);
+            let key = format!("k{key:03}").into_bytes();
+            let value = value.to_be_bytes().to_vec();
+            match kind {
+                0..=2 => {
+                    db.put(&key, &value);
+                    oracle.insert(key, value);
+                }
+                3 => {
+                    db.delete(&key);
+                    oracle.remove(&key);
+                }
+                4 | 5 => assert_eq!(db.get(&key), oracle.get(&key).cloned(), "op {issued}"),
+                _ => {
+                    // A batch of up to 8 ops, answered positionally as if
+                    // issued one by one.
+                    let mut ops = Vec::new();
+                    let mut expect = Vec::new();
+                    for _ in 0..=draw(8) {
+                        let key = format!("k{:03}", draw(256)).into_bytes();
+                        let value = (draw(1 << 32) as u32).to_be_bytes().to_vec();
+                        match draw(3) {
+                            0 => {
+                                oracle.insert(key.clone(), value.clone());
+                                ops.push(KvOp::Put(key, value));
+                                expect.push(KvResult::Done);
+                            }
+                            1 => {
+                                oracle.remove(&key);
+                                ops.push(KvOp::Delete(key));
+                                expect.push(KvResult::Done);
+                            }
+                            _ => {
+                                expect.push(KvResult::Value(oracle.get(&key).cloned()));
+                                ops.push(KvOp::Get(key));
+                            }
+                        }
+                    }
+                    issued += ops.len() as u32 - 1;
+                    assert_eq!(db.apply_batch(&ops), expect, "batch ending at op {issued}");
+                }
+            }
+        }
+        for k in 0..256u32 {
+            let key = format!("k{k:03}").into_bytes();
+            assert_eq!(db.get(&key), oracle.get(&key).cloned(), "final k{k:03}");
+        }
+        let compactions = db.stats().compactions.load(Ordering::Relaxed);
+        assert!(compactions >= 20, "only {compactions} compactions");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! swapped between lock algorithms via `LD_PRELOAD`; this crate reproduces
 //! the relevant code path:
 //!
-//! - an LSM-shaped store: active **memtable** + immutable sorted **runs**
-//!   (in-memory SSTables) with foreground merge compaction;
+//! - an LSM-shaped store: active **memtable** + immutable hash-indexed
+//!   **runs** (in-memory SSTables, probed by one hash lookup each) with
+//!   foreground merge compaction that moves runs rather than copying them;
 //! - a **sharded memtable** (`hemlock-shard`'s `ShardedTable`): point
 //!   reads/writes take one shard lock; the **central mutex** — generic
 //!   over [`hemlock_core::RawLock`] like every lock here — guards the run

@@ -90,7 +90,7 @@ impl<L: RawLock> Memtable<L> {
         self.map.update(key.into(), |slot| {
             let delta = insert_delta(key, vlen, slot.as_ref());
             *slot = Some(value);
-            // Inside the shard critical section: drain_sorted subtracts
+            // Inside the shard critical section: drain subtracts
             // what it actually removes, so the budget can never leak.
             self.approx_bytes.fetch_add(delta, Ordering::Relaxed);
         });
@@ -207,7 +207,7 @@ impl<L: RawLock> Memtable<L> {
     /// here, after completion. This stays exact under racing drains because
     /// the accounting telescopes: every write's delta is computed against
     /// the slot it actually displaced (serialized per shard), and
-    /// [`Memtable::drain_sorted`] subtracts the bytes it actually removes.
+    /// [`Memtable::drain`] subtracts the bytes it actually removes.
     /// The one leak is an *async batch cancelled after its ops were
     /// claimed*: the ops land but the discarded results are never charged,
     /// leaving `approx_bytes` to understate until the next freeze re-zeroes
@@ -265,12 +265,13 @@ impl<L: RawLock> Memtable<L> {
         self.approx_bytes.load(Ordering::Relaxed).max(0) as usize
     }
 
-    /// Drains the table into sorted `(key, slot)` pairs, one shard at a
-    /// time, returning the byte budget to zero for everything removed.
-    /// Entries inserted concurrently into already-drained shards survive
-    /// into the next generation (the caller — the freeze path — holds the
-    /// central mutex, so at most one drain runs at a time).
-    pub fn drain_sorted(&self) -> Vec<(Box<[u8]>, Slot)> {
+    /// Drains the table into `(key, slot)` pairs, in no particular order,
+    /// one shard at a time, returning the byte budget to zero for
+    /// everything removed. Entries inserted concurrently into
+    /// already-drained shards survive into the next generation (the caller
+    /// — the freeze path — holds the central mutex, so at most one drain
+    /// runs at a time).
+    pub fn drain(&self) -> Vec<(Box<[u8]>, Slot)> {
         let mut out = Vec::new();
         for i in 0..self.map.shards() {
             let mut g = self.map.guard_shard(i);
@@ -278,13 +279,12 @@ impl<L: RawLock> Memtable<L> {
             self.approx_bytes.fetch_sub(drained, Ordering::Relaxed);
             out.extend(std::mem::take(&mut *g));
         }
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
-    /// Consumes the table into sorted `(key, slot)` pairs.
-    pub fn into_sorted(self) -> Vec<(Box<[u8]>, Slot)> {
-        self.drain_sorted()
+    /// Consumes the table into `(key, slot)` pairs, in no particular order.
+    pub fn into_entries(self) -> Vec<(Box<[u8]>, Slot)> {
+        self.drain()
     }
 
     /// Per-shard lock census (diagnostics; see `hemlock-shard`).
@@ -326,14 +326,16 @@ mod tests {
     }
 
     #[test]
-    fn into_sorted_is_ordered() {
+    fn into_entries_returns_every_entry() {
         let m = Mem::new();
         for k in [b"c".as_slice(), b"a", b"b"] {
             m.insert(k, Some(k.to_vec().into()));
         }
-        let sorted = m.into_sorted();
-        let keys: Vec<&[u8]> = sorted.iter().map(|(k, _)| k.as_ref()).collect();
+        let mut entries = m.into_entries();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_ref()).collect();
         assert_eq!(keys, vec![b"a".as_slice(), b"b", b"c"]);
+        assert!(entries.iter().all(|(k, v)| v.as_deref() == Some(&**k)));
     }
 
     #[test]
@@ -348,7 +350,7 @@ mod tests {
         }
         m.insert(b"key0000", None);
         assert!(m.approximate_bytes() > 0);
-        let drained = m.drain_sorted();
+        let drained = m.drain();
         assert_eq!(drained.len(), 500);
         assert_eq!(m.approximate_bytes(), 0);
         assert!(m.is_empty());
@@ -387,7 +389,7 @@ mod tests {
             TableResult::Value(Some(Some(vec![3u8; 10].into())))
         );
         // Draining still returns the budget to exactly zero.
-        batched.drain_sorted();
+        batched.drain();
         assert_eq!(batched.approximate_bytes(), 0);
     }
 

@@ -1,35 +1,34 @@
-//! Immutable sorted runs — the in-memory analog of LevelDB's SSTables.
+//! Immutable runs — the in-memory analog of LevelDB's SSTables.
 //!
-//! A [`Run`] is a frozen memtable: sorted `(key, slot)` pairs searched by
-//! binary search. Runs are shared via `Arc`, so readers can search them
-//! *outside* the central mutex, exactly as LevelDB's `Get` drops
-//! `DBImpl::Mutex` before touching table files.
+//! A [`Run`] is a frozen memtable hashed by key, so a probe is one hash
+//! lookup. Runs keep no key order: minikv serves point lookups only (no
+//! scans, no on-disk format), so nothing reads order. Runs are shared via
+//! `Arc`, so readers can search them *outside* the central mutex, exactly
+//! as LevelDB's `Get` drops `DBImpl::Mutex` before touching table files.
 
 use crate::memtable::Slot;
+use std::collections::HashMap;
 
-/// Immutable sorted key-value run.
-#[derive(Debug)]
+/// Immutable key-value run.
+#[derive(Clone, Debug)]
 pub struct Run {
-    entries: Vec<(Box<[u8]>, Slot)>,
+    /// Keys arrive from the network, so the map keeps std's randomly
+    /// seeded hasher (crafted keys cannot force collisions).
+    entries: HashMap<Box<[u8]>, Slot>,
 }
 
 impl Run {
-    /// Builds a run from sorted entries (as produced by
-    /// [`crate::memtable::Memtable::into_sorted`]).
-    pub fn from_sorted(entries: Vec<(Box<[u8]>, Slot)>) -> Self {
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "unsorted/dup run"
-        );
-        Self { entries }
+    /// Builds a run from drained memtable entries (as produced by
+    /// [`crate::memtable::Memtable::into_entries`]).
+    pub fn from_entries(entries: Vec<(Box<[u8]>, Slot)>) -> Self {
+        Self {
+            entries: entries.into_iter().collect(),
+        }
     }
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Option<&Slot> {
-        self.entries
-            .binary_search_by(|(k, _)| k.as_ref().cmp(key))
-            .ok()
-            .map(|i| &self.entries[i].1)
+        self.entries.get(key)
     }
 
     /// Number of entries.
@@ -42,32 +41,13 @@ impl Run {
         self.entries.is_empty()
     }
 
-    /// Merges `newer` over `older` (newer entries win; tombstones from the
-    /// newer run suppress older values but are retained, since an even
-    /// older run may still hold the key).
-    pub fn merge(newer: &Run, older: &Run) -> Run {
-        let mut out = Vec::with_capacity(newer.len() + older.len());
-        let (mut i, mut j) = (0, 0);
-        while i < newer.entries.len() && j < older.entries.len() {
-            match newer.entries[i].0.cmp(&older.entries[j].0) {
-                std::cmp::Ordering::Less => {
-                    out.push(newer.entries[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(older.entries[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(newer.entries[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&newer.entries[i..]);
-        out.extend_from_slice(&older.entries[j..]);
-        Run { entries: out }
+    /// Merges `newer` over `older`, reusing `older`'s map (newer entries
+    /// win; tombstones from the newer run suppress older values but are
+    /// retained, since an even older run may still hold the key).
+    pub fn merge(newer: Run, older: Run) -> Run {
+        let mut entries = older.entries;
+        entries.extend(newer.entries);
+        Run { entries }
     }
 }
 
@@ -81,11 +61,11 @@ mod tests {
         for (k, v) in pairs {
             m.insert(k, v.map(|v| v.to_vec().into()));
         }
-        Run::from_sorted(m.into_sorted())
+        Run::from_entries(m.into_entries())
     }
 
     #[test]
-    fn binary_search_lookup() {
+    fn point_lookup() {
         let r = run_of(&[(b"a", Some(b"1")), (b"c", Some(b"3")), (b"e", Some(b"5"))]);
         assert_eq!(r.get(b"c"), Some(&Some(b"3".to_vec().into())));
         assert_eq!(r.get(b"b"), None);
@@ -100,7 +80,7 @@ mod tests {
             (b"b", Some(b"old")),
             (b"c", Some(b"keep")),
         ]);
-        let merged = Run::merge(&newer, &older);
+        let merged = Run::merge(newer, older);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged.get(b"a"), Some(&Some(b"new".to_vec().into())));
         assert_eq!(merged.get(b"b"), Some(&None), "tombstone retained");
@@ -111,7 +91,7 @@ mod tests {
     fn merge_disjoint_interleaves() {
         let a = run_of(&[(b"a", Some(b"1")), (b"c", Some(b"3"))]);
         let b = run_of(&[(b"b", Some(b"2")), (b"d", Some(b"4"))]);
-        let merged = Run::merge(&a, &b);
+        let merged = Run::merge(a, b);
         assert_eq!(merged.len(), 4);
         for k in [b"a".as_slice(), b"b", b"c", b"d"] {
             assert!(merged.get(k).is_some());

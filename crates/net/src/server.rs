@@ -207,7 +207,12 @@ async fn serve_conn(
                 Ok(None) => break,
                 // Protocol violation: the stream has no resync point, so
                 // drop the connection (never panic the task).
-                Err(_) => return served,
+                Err(_) => {
+                    if hemlock_obs::enabled() {
+                        hemlock_obs::registry().net_drop_protocol.inc();
+                    }
+                    return served;
+                }
             }
         }
         let batched = reqs.len() as u64;

@@ -102,13 +102,16 @@ define_registry! {
         minikv_deletes => "minikv.deletes",
         minikv_freezes => "minikv.freezes",
         minikv_compactions => "minikv.compactions",
+        minikv_compaction_copies => "minikv.compaction_copies",
         minikv_stalls => "minikv.stalls",
         net_connections => "net.connections",
         net_requests => "net.requests",
+        net_drop_protocol => "net.drop.protocol",
         pool_spawned => "pool.spawned",
         pool_wakes => "pool.wakes",
         pool_polls => "pool.polls",
         pool_completed => "pool.completed",
+        pool_task_panics => "pool.task_panics",
     }
     gauges {
         core_locks_held => "core.locks_held",

@@ -287,3 +287,44 @@ fn two_live_servers_on_one_worker_each_serve_their_peers() {
         .expect("both servers must answer every round trip");
     assert_eq!(served, [TRIPS, TRIPS]);
 }
+
+/// A peer whose frame header declares one byte more than `MAX_FRAME`
+/// breaks the protocol: the server drops that connection, counts the drop
+/// under `net.drop.protocol`, and keeps serving every other peer.
+#[test]
+fn an_oversized_frame_header_drops_only_that_connection() {
+    use std::io::{ErrorKind, Read, Write};
+    // The registry is process-wide: compare a delta, never a total.
+    let drops = || hemlock_obs::registry().net_drop_protocol.get();
+    let before = drops();
+    let pool = Arc::new(TaskPool::new(2));
+    let server = catalog::with_timed_lock_type(
+        catalog::find(View::Async, "async.hemlock").expect("async.hemlock is in the catalog"),
+        Spawn {
+            pool: &pool,
+            opts: ServerOptions::default(),
+        },
+    )
+    .expect("async entries are trylock-capable");
+
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    let header = u32::try_from(hemlock_net::MAX_FRAME + 1).expect("fits the u32 prefix");
+    raw.write_all(&header.to_be_bytes()).expect("send header");
+    match raw.read(&mut [0u8; 16]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("the server must close the connection, got {other:?}"),
+    }
+    assert!(drops() > before, "the protocol drop must be counted");
+
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    c.put(b"k", b"v").expect("put");
+    assert_eq!(c.get(b"k").expect("get"), Some(b"v".to_vec()));
+    drop(c);
+    drop(raw);
+    let stats = server.shutdown();
+    assert_eq!(stats.connections, 2);
+    assert_eq!(stats.requests, 2);
+}
