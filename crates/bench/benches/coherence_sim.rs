@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hemlock_coherence::{table2_row, Protocol, Table2Algo};
-use hemlock_model::{explore, ExploreConfig};
+use hemlock_model::explore_proto;
 use hemlock_simlock::algos::{HemlockFlavor, HemlockSim};
-use hemlock_simlock::{Program, World};
+use hemlock_simlock::{LockSim, Program, ProtoWorld};
 use std::time::Duration;
 
 fn sim_row(c: &mut Criterion) {
@@ -24,14 +24,11 @@ fn model_explore(c: &mut Criterion) {
     c.benchmark_group("model_checker")
         .bench_function("explore_2threads_1round", |b| {
             b.iter(|| {
-                let world = World::new(
+                let world = ProtoWorld::new(LockSim::new(
                     HemlockSim::new(2, 1, HemlockFlavor::Ctr),
-                    vec![
-                        Program::lock_unlock(0, 0, 0, 1),
-                        Program::lock_unlock(0, 0, 0, 1),
-                    ],
-                );
-                explore(world, ExploreConfig::default())
+                    vec![Program::lock_unlock(0, 0, 0, 1); 2],
+                ));
+                explore_proto(world, 500_000)
             })
         });
 }

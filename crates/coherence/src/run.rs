@@ -1,4 +1,5 @@
-//! Trace-driven experiments: replay simlock worlds through the cache model.
+//! Trace-driven experiments: replay simlock lock worlds through the cache
+//! model.
 //!
 //! This regenerates the paper's Table 2 ("Impact of CTR on OffCore Access
 //! Rates"): MutexBench with empty critical and non-critical sections, all
@@ -10,7 +11,7 @@
 
 use crate::cache::{CacheModel, CoreStats, Protocol};
 use hemlock_simlock::algos::{ClhSim, HemlockFlavor, HemlockSim, McsSim, TicketSim};
-use hemlock_simlock::{Event, LockAlgorithm, Program, SplitMix64, World};
+use hemlock_simlock::{LockAlgorithm, LockSim, Program, ProtoWorld, SplitMix64};
 
 /// Result of one trace replay.
 #[derive(Clone, Debug)]
@@ -38,32 +39,22 @@ impl TraceStats {
 /// Replays `world` under a seeded random fair schedule, feeding every
 /// executed memory operation through a fresh cache model.
 pub fn run_trace<A: LockAlgorithm>(
-    mut world: World<A>,
+    mut world: ProtoWorld<LockSim<A>>,
     protocol: Protocol,
     seed: u64,
     max_steps: u64,
 ) -> TraceStats {
-    let name = world.algo.name();
+    let name = world.proto.algo().name();
     let cores = world.thread_count();
     let mut cache = CacheModel::new(protocol, cores);
     let mut rng = SplitMix64::new(seed);
-    let mut pairs = 0u64;
     let mut steps = 0u64;
 
     while !world.all_finished() {
-        let live: Vec<usize> = (0..cores)
-            .filter(|&t| !world.threads[t].finished())
-            .collect();
-        let tid = live[(rng.next() % live.len() as u64) as usize];
-        let out = world.step(tid);
-        if let Some(exec) = out.exec {
-            let line = world.algo.line_of(exec.op.loc());
-            cache.access(exec.tid, line, exec.op.access_kind());
-        }
-        for e in out.events {
-            if matches!(e, Event::Released { .. }) {
-                pairs += 1;
-            }
+        let tid = world.random_live(&mut rng);
+        if let Some((op, _)) = world.step(tid) {
+            let line = world.proto.algo().line_of(op.loc());
+            cache.access(tid, line, op.access_kind());
         }
         steps += 1;
         if steps >= max_steps {
@@ -74,9 +65,24 @@ pub fn run_trace<A: LockAlgorithm>(
     TraceStats {
         name,
         totals: cache.total(),
-        pairs,
+        pairs: world.threads.iter().map(|t| t.state.releases()).sum(),
         steps,
     }
+}
+
+/// Replays MutexBench with empty critical and non-critical sections:
+/// `threads` threads, each running `rounds` lock-unlock pairs on lock 0.
+fn empty_sections<A: LockAlgorithm>(
+    algo: A,
+    threads: usize,
+    rounds: u32,
+    protocol: Protocol,
+    seed: u64,
+) -> TraceStats {
+    let programs = vec![Program::lock_unlock(0, 0, 0, rounds); threads];
+    let max_steps = (threads as u64) * (rounds as u64) * 10_000;
+    let world = ProtoWorld::new(LockSim::new(algo, programs));
+    run_trace(world, protocol, seed, max_steps)
 }
 
 /// Which algorithms Table 2 compares.
@@ -114,39 +120,16 @@ pub fn table2_row(
     protocol: Protocol,
     seed: u64,
 ) -> TraceStats {
-    let programs = vec![Program::lock_unlock(0, 0, 0, rounds); threads];
-    let max_steps = (threads as u64) * (rounds as u64) * 10_000;
     match algo {
-        Table2Algo::Mcs => run_trace(
-            World::new(McsSim::new(threads, 1), programs),
-            protocol,
-            seed,
-            max_steps,
-        ),
-        Table2Algo::Clh => run_trace(
-            World::new(ClhSim::new(threads, 1), programs),
-            protocol,
-            seed,
-            max_steps,
-        ),
-        Table2Algo::Ticket => run_trace(
-            World::new(TicketSim::new(threads, 1), programs),
-            protocol,
-            seed,
-            max_steps,
-        ),
-        Table2Algo::Hemlock => run_trace(
-            World::new(HemlockSim::new(threads, 1, HemlockFlavor::Ctr), programs),
-            protocol,
-            seed,
-            max_steps,
-        ),
-        Table2Algo::HemlockNaive => run_trace(
-            World::new(HemlockSim::new(threads, 1, HemlockFlavor::Naive), programs),
-            protocol,
-            seed,
-            max_steps,
-        ),
+        Table2Algo::Mcs => empty_sections(McsSim::new(threads, 1), threads, rounds, protocol, seed),
+        Table2Algo::Clh => empty_sections(ClhSim::new(threads, 1), threads, rounds, protocol, seed),
+        Table2Algo::Ticket => {
+            empty_sections(TicketSim::new(threads, 1), threads, rounds, protocol, seed)
+        }
+        Table2Algo::Hemlock => flavor_offcore(HemlockFlavor::Ctr, threads, rounds, protocol, seed),
+        Table2Algo::HemlockNaive => {
+            flavor_offcore(HemlockFlavor::Naive, threads, rounds, protocol, seed)
+        }
     }
 }
 
@@ -175,14 +158,8 @@ pub fn flavor_offcore(
     protocol: Protocol,
     seed: u64,
 ) -> TraceStats {
-    let programs = vec![Program::lock_unlock(0, 0, 0, rounds); threads];
-    let max_steps = (threads as u64) * (rounds as u64) * 10_000;
-    run_trace(
-        World::new(HemlockSim::new(threads, 1, flavor), programs),
-        protocol,
-        seed,
-        max_steps,
-    )
+    let algo = HemlockSim::new(threads, 1, flavor);
+    empty_sections(algo, threads, rounds, protocol, seed)
 }
 
 /// The Figure 9 regime in the simulator: a leader holding all `locks` locks
@@ -200,7 +177,10 @@ pub fn multiwait_offcore(
     for lock in 0..locks {
         programs.push(Program::lock_unlock(lock, 0, 0, rounds));
     }
-    let world = World::new(HemlockSim::new(threads, locks, flavor), programs);
+    let world = ProtoWorld::new(LockSim::new(
+        HemlockSim::new(threads, locks, flavor),
+        programs,
+    ));
     let max_steps = (threads as u64) * (rounds as u64) * 100_000;
     run_trace(world, protocol, seed, max_steps)
 }
@@ -296,6 +276,33 @@ mod tests {
             "CTR {} must exceed naive {} under multi-waiting",
             ctr.totals.offcore_total(),
             naive.totals.offcore_total()
+        );
+    }
+
+    #[test]
+    fn table2_replay_is_pinned() {
+        // Exact offcore totals, pairs and steps of the seed-0 Table 2 rows
+        // and of one multi-waiting replay. The ordering tests above would
+        // pass an op-order slip in the replayed machines; these would not.
+        let golden = [
+            (Table2Algo::Mcs, 5_507, 59_268),
+            (Table2Algo::Clh, 3_837, 39_608),
+            (Table2Algo::Ticket, 12_591, 29_538),
+            (Table2Algo::Hemlock, 3_764, 30_131),
+            (Table2Algo::HemlockNaive, 3_920, 40_354),
+        ];
+        for (algo, offcore, steps) in golden {
+            let s = table2_row(algo, 16, 40, Protocol::Mesif, 0);
+            assert_eq!(
+                (s.totals.offcore_total(), s.pairs, s.steps),
+                (offcore, 640, steps),
+                "{algo:?}"
+            );
+        }
+        let s = multiwait_offcore(6, 30, HemlockFlavor::Ctr, Protocol::Mesif, 7);
+        assert_eq!(
+            (s.totals.offcore_total(), s.pairs, s.steps),
+            (528, 360, 1_344)
         );
     }
 

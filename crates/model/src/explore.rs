@@ -1,180 +1,210 @@
-//! Bounded-exhaustive schedule exploration (DFS with state hashing).
+//! The one exhaustive explorer and the one seeded walker.
 //!
-//! Every reachable interleaving of atomic operations is enumerated for small
-//! configurations; at each state the §3 property oracles run. Because the
-//! paper's algorithms busy-wait, the raw transition system is infinite in
-//! time but finite in *state*: a failed poll leaves the state unchanged, so
-//! the visited set collapses spin cycles.
+//! Both drive a [`ProtoWorld`] over any [`ProtocolSim`]: the paper's §3
+//! lock machines (through [`LockSim`](hemlock_simlock::LockSim)) and the
+//! post-seed protocols alike. [`explore_proto`] enumerates every reachable
+//! interleaving of a small configuration by DFS with state hashing; because
+//! the machines busy-wait, the raw transition system is infinite in time
+//! but finite in *state* — a failed poll leaves the state unchanged, so the
+//! visited set collapses spin cycles. [`check_proto_random_run`] walks the
+//! same machines under seeded fair schedules, millions of steps deep. Both
+//! check the model's named invariants at every state they reach, and both
+//! report `deadlock-freedom` — the explorer for a state no thread can
+//! leave, the walker for a run that exceeds its cap.
 
-use crate::checker::{check_fere_local, check_mutual_exclusion, FifoTracker, Violation};
-use hemlock_simlock::{LockAlgorithm, World};
-use std::collections::hash_map::DefaultHasher;
+use hemlock_simlock::{ProtoViolation, ProtoWorld, ProtocolSim, SplitMix64};
 use std::collections::HashSet;
-use std::hash::Hasher;
 
-/// Exploration limits and toggles. The lock count for the mutex/FIFO
-/// oracles is derived from the world's algorithm
-/// ([`LockAlgorithm::locks`]), not configured here.
-#[derive(Clone, Copy, Debug)]
-pub struct ExploreConfig {
-    /// Stop after visiting this many distinct states.
-    pub max_states: usize,
-    /// Also run the fere-local census at every state (costlier).
-    pub check_fere_local: bool,
-}
-
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        Self {
-            max_states: 500_000,
-            check_fere_local: true,
-        }
-    }
-}
-
-/// Result of an exploration run.
+/// Result of exploring one protocol configuration.
 #[derive(Clone, Debug)]
-pub struct ExploreReport {
+pub struct ProtoReport {
+    /// Protocol name ([`ProtocolSim::name`]).
+    pub protocol: &'static str,
     /// Distinct states visited.
     pub states: usize,
-    /// Property violations found (empty = all checked states clean).
-    pub violations: Vec<Violation>,
-    /// True when the whole reachable space fit under `max_states`
-    /// (i.e. the result is exhaustive, not a sample).
+    /// Invariant violations found (empty = all checked states clean).
+    pub violations: Vec<ProtoViolation>,
+    /// True when the whole reachable space fit under the state budget.
     pub exhaustive: bool,
-    /// Number of fully-terminated states reached.
+    /// Fully-terminated states reached (their terminal invariants ran too).
     pub terminal_states: usize,
 }
 
-impl ExploreReport {
+impl ProtoReport {
     /// True when no violations were found.
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
     }
 }
 
-fn node_key<A: LockAlgorithm>(world: &World<A>, fifo: &FifoTracker) -> u64 {
-    let mut h = DefaultHasher::new();
-    h.write_u64(world.state_hash());
-    fifo.hash_into(&mut h);
-    h.finish()
-}
-
-/// Exhaustively explores all interleavings of `world` (up to the state cap),
-/// checking mutual exclusion, FIFO, deadlock-freedom and (optionally) the
-/// fere-local spinning bound at every reachable state.
-pub fn explore<A>(world: World<A>, cfg: ExploreConfig) -> ExploreReport
+/// Exhaustively explores every interleaving of `world` (up to `max_states`
+/// distinct states), running the protocol's invariants at each one and its
+/// terminal invariants at every fully-finished state. A state from which no
+/// enabled thread's step changes the machine is reported as a
+/// `deadlock-freedom` violation — under the parking-as-spinning convention
+/// this is exactly how a lost wakeup or stranded grant manifests.
+pub fn explore_proto<P>(world: ProtoWorld<P>, max_states: usize) -> ProtoReport
 where
-    A: LockAlgorithm + Clone,
+    P: ProtocolSim + Clone,
 {
-    let locks = world.algo.locks();
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut stack: Vec<(World<A>, FifoTracker)> = Vec::new();
-    let mut report = ExploreReport {
+    let mut report = ProtoReport {
+        protocol: world.proto.name(),
         states: 0,
         violations: Vec::new(),
         exhaustive: true,
         terminal_states: 0,
     };
+    let mut visited: HashSet<u64> = HashSet::new();
+    let mut stack: Vec<ProtoWorld<P>> = Vec::new();
+    visited.insert(world.state_hash());
+    stack.push(world);
 
-    let fifo0 = FifoTracker::new(locks);
-    visited.insert(node_key(&world, &fifo0));
-    stack.push((world, fifo0));
-
-    while let Some((mut world, fifo)) = stack.pop() {
+    while let Some(world) = stack.pop() {
         report.states += 1;
-        if report.states >= cfg.max_states {
+        if report.states >= max_states {
             report.exhaustive = false;
             break;
         }
 
-        if let Some(v) = check_mutual_exclusion(&world, locks) {
+        if let Err(v) = world.check_now() {
             report.violations.push(v);
             continue;
         }
-        if cfg.check_fere_local {
-            if let Some(v) = check_fere_local(&mut world) {
-                report.violations.push(v);
-                continue;
-            }
-        }
-
         if world.all_finished() {
             report.terminal_states += 1;
+            if let Err(v) = world.check_terminal_now() {
+                report.violations.push(v);
+            }
             continue;
         }
 
-        let n = world.thread_count();
-        let here = node_key(&world, &fifo);
+        let here = world.state_hash();
         let mut any_progress = false;
-        for tid in 0..n {
-            if world.threads[tid].finished() {
+        for tid in 0..world.thread_count() {
+            if world.threads[tid].done {
                 continue;
             }
             let mut next = world.clone();
-            let mut next_fifo = fifo.clone();
-            let out = next.step(tid);
-            for e in &out.events {
-                if let Some(v) = next_fifo.on_event(e) {
-                    report.violations.push(v);
-                }
-            }
-            let key = node_key(&next, &next_fifo);
+            next.step(tid);
+            let key = next.state_hash();
             if key != here {
                 any_progress = true;
             }
             if visited.insert(key) {
-                stack.push((next, next_fifo));
+                stack.push(next);
             }
         }
         if !any_progress {
-            // Every enabled thread's step leaves the state unchanged:
-            // nobody can ever make progress from here.
-            report.violations.push(Violation::Deadlock);
+            report.violations.push(ProtoViolation {
+                invariant: "deadlock-freedom",
+                detail: format!(
+                    "{}: no enabled thread can change the state (lost wakeup / \
+                     stranded grant)",
+                    report.protocol
+                ),
+            });
         }
     }
     report
 }
 
-/// Checks termination (lockout-freedom under a fair schedule, the bounded
-/// form of Theorem 6): the world must finish under round-robin and under
-/// `seeds` random fair schedules within `max_steps`.
-pub fn check_progress<A>(make_world: impl Fn() -> World<A>, seeds: u64, max_steps: u64) -> bool
+/// Result of a long-horizon random-walk simulation.
+#[derive(Clone, Debug)]
+pub struct ProtoRunReport {
+    /// Protocol name.
+    pub protocol: &'static str,
+    /// Total scheduler steps executed across all runs.
+    pub steps: u64,
+    /// Complete executions (fresh world to all-finished).
+    pub completed_runs: u64,
+    /// First violation observed, if any (per-state invariants, terminal
+    /// invariants, or a run that exceeded the per-run liveness cap).
+    pub violation: Option<ProtoViolation>,
+}
+
+impl ProtoRunReport {
+    /// True when every run completed with all invariants intact.
+    pub fn clean(&self) -> bool {
+        self.violation.is_none()
+    }
+}
+
+/// Per-run step cap for [`check_proto_random_run`]: a single small-scope
+/// execution exceeding this under a probabilistically fair schedule is a
+/// liveness failure, not slowness.
+const PROTO_RUN_CAP: u64 = 1_000_000;
+
+/// Drives fresh worlds from `make_world` under seeded uniformly-random
+/// schedules until at least `min_steps` total scheduler steps have executed,
+/// checking the protocol's invariants after every step and its terminal
+/// invariants after every completed run. This is the long-horizon
+/// complement to [`explore_proto`]: same machines, same oracles, but
+/// millions of steps deep instead of exhaustive-but-shallow.
+pub fn check_proto_random_run<P>(
+    make_world: impl Fn() -> ProtoWorld<P>,
+    seed: u64,
+    min_steps: u64,
+) -> ProtoRunReport
 where
-    A: LockAlgorithm,
+    P: ProtocolSim,
 {
-    if make_world().run_round_robin(max_steps).is_none() {
-        return false;
-    }
-    for seed in 0..seeds {
-        if make_world().run_random(seed, max_steps).is_none() {
-            return false;
+    let mut rng = SplitMix64::new(seed);
+    let mut report = ProtoRunReport {
+        protocol: make_world().proto.name(),
+        steps: 0,
+        completed_runs: 0,
+        violation: None,
+    };
+    while report.steps < min_steps {
+        let mut world = make_world();
+        let mut run_steps = 0u64;
+        while !world.all_finished() {
+            world.step(world.random_live(&mut rng));
+            report.steps += 1;
+            run_steps += 1;
+            if let Err(v) = world.check_now() {
+                report.violation = Some(v);
+                return report;
+            }
+            if run_steps >= PROTO_RUN_CAP {
+                report.violation = Some(ProtoViolation {
+                    invariant: "deadlock-freedom",
+                    detail: format!(
+                        "{}: run (seed {seed}) still unfinished after {PROTO_RUN_CAP} \
+                         steps of a fair schedule",
+                        report.protocol
+                    ),
+                });
+                return report;
+            }
         }
+        if let Err(v) = world.check_terminal_now() {
+            report.violation = Some(v);
+            return report;
+        }
+        report.completed_runs += 1;
     }
-    true
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hemlock_simlock::algos::{ClhSim, HemlockFlavor, HemlockSim, McsSim, TicketSim};
-    use hemlock_simlock::Program;
+    use hemlock_simlock::{Action, AlgoStep, LockAlgorithm, LockSim, Meta, Op, Program, Val};
 
-    fn two_thread_world<A: LockAlgorithm>(algo: A, rounds: u32) -> World<A> {
-        World::new(
+    fn two_thread_world<A: LockAlgorithm>(algo: A, rounds: u32) -> ProtoWorld<LockSim<A>> {
+        ProtoWorld::new(LockSim::new(
             algo,
-            vec![
-                Program::lock_unlock(0, 0, 0, rounds),
-                Program::lock_unlock(0, 0, 0, rounds),
-            ],
-        )
+            vec![Program::lock_unlock(0, 0, 0, rounds); 2],
+        ))
     }
 
     #[test]
     fn hemlock_ctr_two_threads_exhaustive() {
-        let report = explore(
+        let report = explore_proto(
             two_thread_world(HemlockSim::new(2, 1, HemlockFlavor::Ctr), 2),
-            ExploreConfig::default(),
+            500_000,
         );
         assert!(report.clean(), "violations: {:?}", report.violations);
         assert!(report.exhaustive);
@@ -188,9 +218,9 @@ mod tests {
 
     #[test]
     fn hemlock_naive_two_threads_exhaustive() {
-        let report = explore(
+        let report = explore_proto(
             two_thread_world(HemlockSim::new(2, 1, HemlockFlavor::Naive), 2),
-            ExploreConfig::default(),
+            500_000,
         );
         assert!(report.clean(), "violations: {:?}", report.violations);
         assert!(report.exhaustive);
@@ -199,18 +229,9 @@ mod tests {
     #[test]
     fn baselines_two_threads_exhaustive() {
         for report in [
-            explore(
-                two_thread_world(TicketSim::new(2, 1), 2),
-                ExploreConfig::default(),
-            ),
-            explore(
-                two_thread_world(McsSim::new(2, 1), 2),
-                ExploreConfig::default(),
-            ),
-            explore(
-                two_thread_world(ClhSim::new(2, 1), 2),
-                ExploreConfig::default(),
-            ),
+            explore_proto(two_thread_world(TicketSim::new(2, 1), 2), 500_000),
+            explore_proto(two_thread_world(McsSim::new(2, 1), 2), 500_000),
+            explore_proto(two_thread_world(ClhSim::new(2, 1), 2), 500_000),
         ] {
             assert!(report.clean(), "violations: {:?}", report.violations);
             assert!(report.exhaustive);
@@ -219,11 +240,15 @@ mod tests {
 
     #[test]
     fn progress_under_fair_schedules() {
-        assert!(check_progress(
-            || two_thread_world(HemlockSim::new(2, 1, HemlockFlavor::Ctr), 5),
-            10,
-            1_000_000,
-        ));
+        // Theorem 6, bounded: round-robin and ten seeded fair schedules
+        // all finish under the walker's per-run cap.
+        let make = || two_thread_world(HemlockSim::new(2, 1, HemlockFlavor::Ctr), 5);
+        assert!(make().run_round_robin(1_000_000).is_some());
+        for seed in 0..10 {
+            let run = check_proto_random_run(make, seed, 1);
+            assert!(run.clean(), "seed {seed}: {:?}", run.violation);
+            assert_eq!(run.completed_runs, 1);
+        }
     }
 
     // Sanity fixture for the checker itself: a "lock" that admits everyone
@@ -231,6 +256,8 @@ mod tests {
     #[derive(Clone, Debug)]
     struct BrokenSim {
         threads: usize,
+        /// Marks the probing load as the doorstep.
+        doorstep: bool,
     }
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct BrokenThread {
@@ -248,7 +275,7 @@ mod tests {
         fn locks(&self) -> usize {
             1
         }
-        fn initial_memory(&self) -> Vec<hemlock_simlock::Val> {
+        fn initial_memory(&self) -> Vec<Val> {
             vec![0; self.words()]
         }
         fn new_thread(&self, _tid: usize) -> BrokenThread {
@@ -262,17 +289,17 @@ mod tests {
             t.lock = lock;
             t.pc = 3;
         }
-        fn step(
-            &self,
-            t: &mut BrokenThread,
-            _last: hemlock_simlock::Val,
-        ) -> hemlock_simlock::AlgoStep {
-            use hemlock_simlock::{AlgoStep, Meta, Op};
+        fn step(&self, t: &mut BrokenThread, _last: Val) -> AlgoStep {
             match t.pc {
                 1 => {
                     t.pc = 2;
                     // Probe the "lock word" but ignore the answer.
-                    AlgoStep::Issue(Op::Load(1), Meta::Doorstep { lock: t.lock })
+                    let meta = if self.doorstep {
+                        Meta::Doorstep { lock: t.lock }
+                    } else {
+                        Meta::None
+                    };
+                    AlgoStep::Issue(Op::Load(1), meta)
                 }
                 2 | 4 => {
                     t.pc = 0;
@@ -293,55 +320,60 @@ mod tests {
         }
     }
 
-    fn broken_world(threads: usize, cs_steps: u32) -> World<BrokenSim> {
+    fn broken_world(
+        threads: usize,
+        cs_steps: u32,
+        doorstep: bool,
+    ) -> ProtoWorld<LockSim<BrokenSim>> {
         let program = Program::new(
             vec![
-                hemlock_simlock::Action::Acquire(0),
-                hemlock_simlock::Action::CsWork {
+                Action::Acquire(0),
+                Action::CsWork {
                     lock: 0,
                     steps: cs_steps,
                 },
-                hemlock_simlock::Action::Release(0),
+                Action::Release(0),
             ],
             1,
         );
-        World::new(BrokenSim { threads }, vec![program; threads])
+        let algo = BrokenSim { threads, doorstep };
+        ProtoWorld::new(LockSim::new(algo, vec![program; threads]))
+    }
+
+    fn tripped(report: &ProtoReport, invariant: &str) -> bool {
+        report.violations.iter().any(|v| v.invariant == invariant)
     }
 
     #[test]
     fn broken_algorithm_is_caught() {
-        let report = explore(
-            broken_world(2, 2),
-            ExploreConfig {
-                check_fere_local: false,
-                ..Default::default()
-            },
-        );
+        let report = explore_proto(broken_world(2, 2, true), 500_000);
         assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| matches!(v, Violation::MutualExclusion { .. })),
+            tripped(&report, "mutual-exclusion"),
             "broken lock must be caught; got {:?}",
             report.violations
         );
     }
 
     #[test]
+    fn acquire_without_a_doorstep_trips_fifo() {
+        // One thread, so nothing else can trip: the machine acquires
+        // without marking its doorstep, a fault in its own annotation.
+        let report = explore_proto(broken_world(1, 0, false), 500_000);
+        assert!(tripped(&report, "fifo"), "{:?}", report.violations);
+    }
+
+    #[test]
     fn state_budget_exhaustion_clears_exhaustive_flag() {
         // A clean world cut off mid-exploration must not claim exhaustive
         // coverage: `clean()` alone is a sample, not a proof.
-        let full = explore(
+        let full = explore_proto(
             two_thread_world(HemlockSim::new(2, 1, HemlockFlavor::Ctr), 2),
-            ExploreConfig::default(),
+            500_000,
         );
         assert!(full.exhaustive && full.states > 20);
-        let cut = explore(
+        let cut = explore_proto(
             two_thread_world(HemlockSim::new(2, 1, HemlockFlavor::Ctr), 2),
-            ExploreConfig {
-                max_states: 20,
-                ..Default::default()
-            },
+            20,
         );
         assert!(
             !cut.exhaustive,
@@ -357,34 +389,19 @@ mod tests {
         // The broken lock trips mutual exclusion within the first few
         // explored states; a budget too small for the full space must
         // still report what it saw before the cutoff.
-        let full = explore(
-            broken_world(3, 3),
-            ExploreConfig {
-                check_fere_local: false,
-                ..Default::default()
-            },
-        );
+        let full = explore_proto(broken_world(3, 3, true), 500_000);
         assert!(full.exhaustive && !full.clean());
         let budget = full.states / 2;
-        let cut = explore(
-            broken_world(3, 3),
-            ExploreConfig {
-                max_states: budget,
-                check_fere_local: false,
-            },
-        );
+        let cut = explore_proto(broken_world(3, 3, true), budget);
         assert!(
             !cut.exhaustive,
             "budget {budget} must truncate {}",
             full.states
         );
         assert!(
-            cut.violations
-                .iter()
-                .any(|v| matches!(v, Violation::MutualExclusion { .. })),
+            tripped(&cut, "mutual-exclusion"),
             "violations found before the cutoff must be reported; got {:?}",
             cut.violations
         );
-        assert!(!cut.clean());
     }
 }

@@ -1,97 +1,56 @@
 //! # hemlock-model
 //!
-//! Machine-checks the Hemlock paper's §3 correctness arguments on the
-//! simulated machines from `hemlock-simlock`:
+//! Machine-checks the Hemlock paper's §3 correctness arguments, and the
+//! safety arguments of the protocols this workspace built on the lock, on
+//! the simulated machines from `hemlock-simlock`. There is one substrate
+//! ([`ProtoWorld`](hemlock_simlock::ProtoWorld)), one exhaustive explorer
+//! ([`explore_proto`]) and one seeded walker ([`check_proto_random_run`]).
+//! The §3 lock machines run on it through
+//! [`LockSim`](hemlock_simlock::LockSim), whose invariants are the
+//! theorems' oracles:
 //!
 //! | Paper result | Check here |
 //! |---|---|
-//! | Theorem 2 (mutual exclusion) | stateless oracle over every explored state |
-//! | Theorem 6 (lockout-freedom) | termination under round-robin + random fair schedules |
-//! | Theorem 8 (FIFO) | doorstep-order tracker over every explored path |
-//! | Theorem 10 (fere-local spinning) | spin census ≤ associated-lock bound at every state |
+//! | Theorem 2 (mutual exclusion) | `mutual-exclusion`: at most one thread in a lock's critical section, at every state |
+//! | Theorem 6 (lockout-freedom) | `deadlock-freedom`: no reachable stuck state; every round-robin and seeded fair run finishes under its cap |
+//! | Theorem 8 (FIFO) | `fifo`: no holder's doorstep ticket is above a waiter's, at every state |
+//! | Theorem 10 (fere-local spinning) | `fere-local`: spinners on a Grant word ≤ its owner's associated locks, at every state |
 //! | §2.2 Figure 1 | junction reconstruction + address-based hand-over draining |
 //!
 //! Exploration is bounded-exhaustive DFS with state hashing: busy-wait
 //! loops collapse (a failed poll re-enters the same state), so small
 //! configurations (2–3 threads, 1–2 locks, a few rounds) are covered
-//! completely.
+//! completely. [`paper_scenarios`] and [`post_seed_scenarios`] register the
+//! canonical configurations.
 //!
 //! ```
-//! use hemlock_model::{explore, ExploreConfig};
+//! use hemlock_model::explore_proto;
 //! use hemlock_simlock::algos::{HemlockSim, HemlockFlavor};
-//! use hemlock_simlock::{Program, World};
+//! use hemlock_simlock::{LockSim, Program, ProtoWorld};
 //!
-//! let world = World::new(
+//! let world = ProtoWorld::new(LockSim::new(
 //!     HemlockSim::new(2, 1, HemlockFlavor::Ctr),
-//!     vec![Program::lock_unlock(0, 0, 0, 1), Program::lock_unlock(0, 0, 0, 1)],
-//! );
-//! let report = explore(world, ExploreConfig::default());
+//!     vec![Program::lock_unlock(0, 0, 0, 1); 2],
+//! ));
+//! let report = explore_proto(world, 500_000);
 //! assert!(report.clean() && report.exhaustive);
 //! ```
 
 #![deny(missing_docs)]
 
-pub mod checker;
 pub mod explore;
 pub mod protocols;
 pub mod scenario;
 
-pub use checker::{check_fere_local, check_mutual_exclusion, FifoTracker, Violation};
-pub use explore::{check_progress, explore, ExploreConfig, ExploreReport};
-pub use protocols::{
-    check_proto_random_run, explore_proto, post_seed_scenarios, ProtoReport, ProtoRunReport,
-    ProtoScenario,
-};
+pub use explore::{check_proto_random_run, explore_proto, ProtoReport, ProtoRunReport};
+pub use protocols::{paper_scenarios, post_seed_scenarios, ProtoScenario};
 pub use scenario::{build_junction, drain_junction, spin_census, Junction};
-
-/// Runs `world` to completion under a seeded random fair schedule, checking
-/// mutual exclusion, FIFO, and the fere-local bound after every step. The
-/// lock count for the oracles is derived from the world's algorithm.
-/// Panics on budget exhaustion; returns violations found (empty = clean).
-pub fn check_random_run<A>(
-    mut world: hemlock_simlock::World<A>,
-    seed: u64,
-    max_steps: u64,
-) -> Vec<Violation>
-where
-    A: hemlock_simlock::LockAlgorithm,
-{
-    let locks = world.algo.locks();
-    let mut rng = hemlock_simlock::SplitMix64::new(seed);
-    let mut fifo = FifoTracker::new(locks);
-    let mut violations = Vec::new();
-    let mut steps = 0u64;
-    while !world.all_finished() {
-        let live: Vec<usize> = (0..world.thread_count())
-            .filter(|&t| !world.threads[t].finished())
-            .collect();
-        let tid = live[(rng.next() % live.len() as u64) as usize];
-        let out = world.step(tid);
-        for e in &out.events {
-            if let Some(v) = fifo.on_event(e) {
-                violations.push(v);
-            }
-        }
-        if let Some(v) = check_mutual_exclusion(&world, locks) {
-            violations.push(v);
-        }
-        if let Some(v) = check_fere_local(&mut world) {
-            violations.push(v);
-        }
-        if !violations.is_empty() {
-            return violations;
-        }
-        steps += 1;
-        assert!(steps < max_steps, "random run exceeded {max_steps} steps");
-    }
-    violations
-}
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use hemlock_simlock::algos::{HemlockFlavor, HemlockSim};
-    use hemlock_simlock::{Program, World};
+    use hemlock_simlock::{Action, LockSim, Program, ProtoWorld};
     use proptest::prelude::*;
 
     proptest! {
@@ -108,9 +67,11 @@ mod proptests {
         ) {
             let flavor = HemlockFlavor::ALL[flavor_ix];
             let programs = vec![Program::lock_unlock(0, 1, 1, rounds); threads];
-            let world = World::new(HemlockSim::new(threads, 1, flavor), programs);
-            let violations = check_random_run(world, seed, 10_000_000);
-            prop_assert!(violations.is_empty(), "{flavor:?}: {violations:?}");
+            let make = || {
+                ProtoWorld::new(LockSim::new(HemlockSim::new(threads, 1, flavor), programs.clone()))
+            };
+            let run = check_proto_random_run(make, seed, 1);
+            prop_assert!(run.clean(), "{flavor:?}: {:?}", run.violation);
         }
 
         /// Two locks with nested acquisition: multi-lock safety under
@@ -120,19 +81,18 @@ mod proptests {
             let flavor = HemlockFlavor::ALL[flavor_ix];
             let nested = Program::new(
                 vec![
-                    hemlock_simlock::Action::Acquire(0),
-                    hemlock_simlock::Action::Acquire(1),
-                    hemlock_simlock::Action::Release(1),
-                    hemlock_simlock::Action::Release(0),
+                    Action::Acquire(0),
+                    Action::Acquire(1),
+                    Action::Release(1),
+                    Action::Release(0),
                 ],
                 2,
             );
-            let world = World::new(
-                HemlockSim::new(2, 2, flavor),
-                vec![nested.clone(), nested],
-            );
-            let violations = check_random_run(world, seed, 10_000_000);
-            prop_assert!(violations.is_empty(), "{flavor:?}: {violations:?}");
+            let make = || {
+                ProtoWorld::new(LockSim::new(HemlockSim::new(2, 2, flavor), vec![nested.clone(); 2]))
+            };
+            let run = check_proto_random_run(make, seed, 1);
+            prop_assert!(run.clean(), "{flavor:?}: {:?}", run.violation);
         }
     }
 }

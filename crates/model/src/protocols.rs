@@ -1,207 +1,29 @@
-//! Model checking of the post-seed protocols.
+//! The scenario registries: the paper's §3 lock machines and the post-seed
+//! protocols, each as named small-scope configurations on the one
+//! substrate.
 //!
-//! The seed crates' §3 theorems cover the lock algorithms; the layers this
-//! workspace grew on top of them (`WakerSet`, `WakerQueue`,
-//! `ShardedTable::with_two`, `HemlockRw`, the flat-combining batch layer)
-//! are hand-rolled protocols with their own safety arguments. Each is
-//! re-encoded in `hemlock-simlock::protocols` as a
-//! [`ProtocolSim`] state machine; this module explores those machines the
-//! same way [`explore`](crate::explore()) covers the locks — bounded
-//! DFS with state hashing, the protocol's named invariants checked at every
-//! reachable state, deadlock detection for lost wakeups and stranded
-//! grants — plus a seeded long-horizon random-walk driver for the depths
-//! the exhaustive pass cannot reach.
-//!
-//! [`post_seed_scenarios`] is the canonical registry of small-scope
-//! configurations; `docs/ARCHITECTURE.md` ("Model checking the post-seed
-//! protocols") tabulates them, and each protocol's in-code safety comment
-//! names its scenario.
+//! [`paper_scenarios`] runs each lock machine through
+//! [`LockSim`], whose invariants are the §3
+//! theorems. [`post_seed_scenarios`] covers the layers this workspace grew
+//! on top of the locks (`WakerSet`, `WakerQueue`, `ShardedTable::with_two`,
+//! `HemlockRw`, the flat-combining batch layer, the reactor and the
+//! executor's epoll waiting), hand-rolled protocols with their own safety
+//! arguments, each re-encoded in `hemlock_simlock::protocols`. Every
+//! scenario bundles the one exhaustive explorer ([`explore_proto`]) and the
+//! one seeded walker ([`check_proto_random_run`]) behind a stable name;
+//! `docs/ARCHITECTURE.md` ("Model checking") tabulates them, and each
+//! protocol's in-code safety comment names its scenario.
 
+use crate::explore::{check_proto_random_run, explore_proto, ProtoReport, ProtoRunReport};
+use hemlock_simlock::algos::{ClhSim, HemlockFlavor, HemlockSim, McsSim, TicketSim};
 use hemlock_simlock::protocols::{
     DekkerSim, DriverSim, FcRole, FcSim, QueueRole, ReactorSim, RwRole, RwSim, TwoShardOp,
     TwoShardSim, WakerQueueSim,
 };
-use hemlock_simlock::{ProtoViolation, ProtoWorld, ProtocolSim, SplitMix64};
-use std::collections::HashSet;
+use hemlock_simlock::{LockSim, Program, ProtoWorld, ProtocolSim};
 
-/// Result of exploring one protocol configuration.
-#[derive(Clone, Debug)]
-pub struct ProtoReport {
-    /// Protocol name ([`ProtocolSim::name`]).
-    pub protocol: &'static str,
-    /// Distinct states visited.
-    pub states: usize,
-    /// Invariant violations found (empty = all checked states clean).
-    pub violations: Vec<ProtoViolation>,
-    /// True when the whole reachable space fit under the state budget.
-    pub exhaustive: bool,
-    /// Fully-terminated states reached (their terminal invariants ran too).
-    pub terminal_states: usize,
-}
-
-impl ProtoReport {
-    /// True when no violations were found.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Exhaustively explores every interleaving of `world` (up to `max_states`
-/// distinct states), running the protocol's invariants at each one and its
-/// terminal invariants at every fully-finished state. A state from which no
-/// enabled thread's step changes the machine is reported as a
-/// `deadlock-freedom` violation — under the parking-as-spinning convention
-/// this is exactly how a lost wakeup or stranded grant manifests.
-pub fn explore_proto<P>(world: ProtoWorld<P>, max_states: usize) -> ProtoReport
-where
-    P: ProtocolSim + Clone,
-{
-    let mut report = ProtoReport {
-        protocol: world.proto.name(),
-        states: 0,
-        violations: Vec::new(),
-        exhaustive: true,
-        terminal_states: 0,
-    };
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut stack: Vec<ProtoWorld<P>> = Vec::new();
-    visited.insert(world.state_hash());
-    stack.push(world);
-
-    while let Some(world) = stack.pop() {
-        report.states += 1;
-        if report.states >= max_states {
-            report.exhaustive = false;
-            break;
-        }
-
-        if let Err(v) = world.check_now() {
-            report.violations.push(v);
-            continue;
-        }
-        if world.all_finished() {
-            report.terminal_states += 1;
-            if let Err(v) = world.check_terminal_now() {
-                report.violations.push(v);
-            }
-            continue;
-        }
-
-        let here = world.state_hash();
-        let mut any_progress = false;
-        for tid in 0..world.thread_count() {
-            if world.threads[tid].done {
-                continue;
-            }
-            let mut next = world.clone();
-            next.step(tid);
-            let key = next.state_hash();
-            if key != here {
-                any_progress = true;
-            }
-            if visited.insert(key) {
-                stack.push(next);
-            }
-        }
-        if !any_progress {
-            report.violations.push(ProtoViolation {
-                invariant: "deadlock-freedom",
-                detail: format!(
-                    "{}: no enabled thread can change the state (lost wakeup / \
-                     stranded grant)",
-                    report.protocol
-                ),
-            });
-        }
-    }
-    report
-}
-
-/// Result of a long-horizon random-walk simulation.
-#[derive(Clone, Debug)]
-pub struct ProtoRunReport {
-    /// Protocol name.
-    pub protocol: &'static str,
-    /// Total scheduler steps executed across all runs.
-    pub steps: u64,
-    /// Complete executions (fresh world to all-finished).
-    pub completed_runs: u64,
-    /// First violation observed, if any (per-state invariants, terminal
-    /// invariants, or a run that exceeded the per-run liveness cap).
-    pub violation: Option<ProtoViolation>,
-}
-
-impl ProtoRunReport {
-    /// True when every run completed with all invariants intact.
-    pub fn clean(&self) -> bool {
-        self.violation.is_none()
-    }
-}
-
-/// Per-run step cap for [`check_proto_random_run`]: a single small-scope
-/// execution exceeding this under a probabilistically fair schedule is a
-/// liveness failure, not slowness.
-const PROTO_RUN_CAP: u64 = 1_000_000;
-
-/// Drives fresh worlds from `make_world` under seeded uniformly-random
-/// schedules until at least `min_steps` total scheduler steps have executed,
-/// checking the protocol's invariants after every step and its terminal
-/// invariants after every completed run. This is the long-horizon
-/// complement to [`explore_proto`]: same machines, same oracles, but
-/// millions of steps deep instead of exhaustive-but-shallow.
-pub fn check_proto_random_run<P>(
-    make_world: impl Fn() -> ProtoWorld<P>,
-    seed: u64,
-    min_steps: u64,
-) -> ProtoRunReport
-where
-    P: ProtocolSim,
-{
-    let mut rng = SplitMix64::new(seed);
-    let mut report = ProtoRunReport {
-        protocol: make_world().proto.name(),
-        steps: 0,
-        completed_runs: 0,
-        violation: None,
-    };
-    while report.steps < min_steps {
-        let mut world = make_world();
-        let mut run_steps = 0u64;
-        while !world.all_finished() {
-            let live: Vec<usize> = (0..world.thread_count())
-                .filter(|&t| !world.threads[t].done)
-                .collect();
-            let tid = live[(rng.next() % live.len() as u64) as usize];
-            world.step(tid);
-            report.steps += 1;
-            run_steps += 1;
-            if let Err(v) = world.check_now() {
-                report.violation = Some(v);
-                return report;
-            }
-            if run_steps >= PROTO_RUN_CAP {
-                report.violation = Some(ProtoViolation {
-                    invariant: "deadlock-freedom",
-                    detail: format!(
-                        "{}: run (seed {seed}) still unfinished after {PROTO_RUN_CAP} \
-                         steps of a fair schedule",
-                        report.protocol
-                    ),
-                });
-                return report;
-            }
-        }
-        if let Err(v) = world.check_terminal_now() {
-            report.violation = Some(v);
-            return report;
-        }
-        report.completed_runs += 1;
-    }
-    report
-}
-
-/// One canonical small-scope configuration of a post-seed protocol, bundling
-/// its exhaustive explorer and its random-walk driver behind a stable name.
+/// One canonical small-scope configuration of a model, bundling its
+/// exhaustive explorer and its random-walk driver behind a stable name.
 pub struct ProtoScenario {
     /// Stable scenario name (referenced by the in-code safety comments and
     /// the `docs/ARCHITECTURE.md` table).
@@ -248,9 +70,53 @@ where
     }
 }
 
-/// The canonical registry: one small-scope scenario per post-seed protocol,
-/// as documented in `docs/ARCHITECTURE.md` ("Model checking the post-seed
-/// protocols").
+/// The Figure 1 junction at two locks: a leader takes both locks, and one
+/// waiter per lock spins on the leader's one Grant word.
+fn junction() -> Vec<Program> {
+    vec![
+        Program::multiwait_leader(2, 1),
+        Program::lock_unlock(0, 0, 0, 1),
+        Program::lock_unlock(1, 0, 0, 1),
+    ]
+}
+
+/// Two threads, two rounds of a two-step critical section each.
+fn two_with_cs_work() -> Vec<Program> {
+    vec![Program::lock_unlock(0, 2, 0, 2); 2]
+}
+
+/// The paper's registry: one small-scope scenario per §3 lock machine,
+/// checking mutual exclusion (Theorem 2), FIFO (Theorem 8), fere-local
+/// spinning (Theorem 10) and deadlock-freedom (Theorem 6, bounded). The six
+/// Hemlock flavours run the Figure 1 junction, where fere-local spinning is
+/// tight; the three baselines run two threads with critical-section work.
+pub fn paper_scenarios() -> Vec<ProtoScenario> {
+    let hemlock = |name, flavor| {
+        scenario(name, move || {
+            LockSim::new(HemlockSim::new(3, 2, flavor), junction())
+        })
+    };
+    vec![
+        hemlock("paper.hemlock", HemlockFlavor::Ctr),
+        hemlock("paper.hemlock-", HemlockFlavor::Naive),
+        hemlock("paper.overlap", HemlockFlavor::Overlap),
+        hemlock("paper.ah", HemlockFlavor::Ah),
+        hemlock("paper.hov1", HemlockFlavor::V1),
+        hemlock("paper.hov2", HemlockFlavor::V2),
+        scenario("paper.mcs", || {
+            LockSim::new(McsSim::new(2, 1), two_with_cs_work())
+        }),
+        scenario("paper.clh", || {
+            LockSim::new(ClhSim::new(2, 1), two_with_cs_work())
+        }),
+        scenario("paper.ticket", || {
+            LockSim::new(TicketSim::new(2, 1), two_with_cs_work())
+        }),
+    ]
+}
+
+/// The post-seed registry: one small-scope scenario per protocol, as
+/// documented in `docs/ARCHITECTURE.md` ("Model checking").
 pub fn post_seed_scenarios() -> Vec<ProtoScenario> {
     vec![
         // WakerSet Dekker pair: three contenders, two lock/unlock rounds
@@ -335,12 +201,23 @@ mod tests {
 
     #[test]
     fn registry_names_are_stable_and_unique() {
-        let scenarios = post_seed_scenarios();
-        assert_eq!(scenarios.len(), 7);
+        let scenarios: Vec<ProtoScenario> = paper_scenarios()
+            .into_iter()
+            .chain(post_seed_scenarios())
+            .collect();
         let names: Vec<&str> = scenarios.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
             [
+                "paper.hemlock",
+                "paper.hemlock-",
+                "paper.overlap",
+                "paper.ah",
+                "paper.hov1",
+                "paper.hov2",
+                "paper.mcs",
+                "paper.clh",
+                "paper.ticket",
                 "proto.wakerset",
                 "proto.wakerqueue",
                 "proto.with-two",

@@ -11,14 +11,14 @@
 //! right waiter each time.
 
 use hemlock_simlock::algos::{HemlockFlavor, HemlockSim};
-use hemlock_simlock::{Event, LockAlgorithm, Meta, Program, World};
+use hemlock_simlock::{LockAlgorithm, LockSim, Meta, Program, ProtoWorld};
 
 /// A frozen multi-waiting configuration: thread 0 holds locks `0..k`, and
 /// thread `i` (for `i` in `1..=k`) busy-waits for lock `i-1` on thread 0's
 /// Grant word.
 pub struct Junction {
     /// The frozen world.
-    pub world: World<HemlockSim>,
+    pub world: ProtoWorld<LockSim<HemlockSim>>,
     /// Number of locks held by the junction thread (= waiters spinning).
     pub k: usize,
 }
@@ -32,22 +32,22 @@ pub fn build_junction(k: usize, flavor: HemlockFlavor) -> Junction {
     for lock in 0..k {
         programs.push(Program::lock_unlock(lock, 0, 0, 1));
     }
-    let mut world = World::new(algo, programs);
+    let mut world = ProtoWorld::new(LockSim::new(algo, programs));
 
     // Drive the holder until it owns all k locks (uncontended: k swaps).
     let mut guard = 0;
-    while world.threads[0].holding().len() < k {
+    while world.threads[0].state.holding().len() < k {
         world.step(0);
         guard += 1;
         assert!(guard < 10_000, "holder failed to take {k} locks");
     }
 
     // Drive each waiter until it busy-waits on the holder's Grant word.
-    let grant0 = world.algo.grant_word(0).unwrap();
+    let grant0 = world.proto.algo().grant_word(0).unwrap();
     for tid in 1..=k {
         let mut guard = 0;
         loop {
-            if let Some((_, Meta::SpinWait { loc, .. })) = world.peek(tid) {
+            if let Some((_, Meta::SpinWait { loc, .. })) = world.threads[tid].pending {
                 assert_eq!(loc, grant0, "waiter {tid} must spin on the holder");
                 break;
             }
@@ -62,26 +62,10 @@ pub fn build_junction(k: usize, flavor: HemlockFlavor) -> Junction {
 /// Census of busy-waiting: for each thread, how many **other** threads are
 /// spinning on its Grant word (with their wait condition still
 /// unsatisfied) — the §2.2 multi-waiting degree.
-pub fn spin_census(world: &mut World<HemlockSim>) -> Vec<usize> {
-    let n = world.thread_count();
-    let mut census = vec![0usize; n];
-    let grants: Vec<Option<usize>> = (0..n).map(|u| world.algo.grant_word(u)).collect();
-    for tid in 0..n {
-        if world.threads[tid].finished() {
-            continue;
-        }
-        if let Some((_, Meta::SpinWait { loc, until })) = world.peek(tid) {
-            if until.satisfied(world.mem[loc]) {
-                continue; // exiting the loop, not spinning
-            }
-            for (u, g) in grants.iter().enumerate() {
-                if *g == Some(loc) && u != tid {
-                    census[u] += 1;
-                }
-            }
-        }
-    }
-    census
+pub fn spin_census(world: &ProtoWorld<LockSim<HemlockSim>>) -> Vec<usize> {
+    (0..world.thread_count())
+        .map(|u| world.proto.grant_spinners(u, &world.mem, &world.threads))
+        .collect()
 }
 
 /// Releases the junction's locks (descending, as in Figure 9's leader) and
@@ -90,25 +74,20 @@ pub fn spin_census(world: &mut World<HemlockSim>) -> Vec<usize> {
 /// disambiguate" (§1). Returns the number of correct hand-overs observed.
 pub fn drain_junction(j: &mut Junction) -> usize {
     let mut correct = 0;
-    let mut acquired: Vec<Option<usize>> = vec![None; j.k + 1];
     let mut steps = 0u64;
     while !j.world.all_finished() {
         for tid in 0..j.world.thread_count() {
-            if j.world.threads[tid].finished() {
-                continue;
-            }
-            let out = j.world.step(tid);
-            for e in out.events {
-                if let Event::Acquired { tid, lock } = e {
-                    // Waiter `i` waits for lock `i-1` and nothing else.
-                    assert_eq!(
-                        lock,
-                        tid - 1,
-                        "wrong waiter woken: thread {tid} got lock {lock}"
-                    );
-                    acquired[tid] = Some(lock);
-                    correct += 1;
-                }
+            let held = j.world.threads[tid].state.holding().len();
+            j.world.step(tid);
+            let holding = j.world.threads[tid].state.holding();
+            if tid > 0 && holding.len() > held {
+                // Waiter `i` waits for lock `i-1` and nothing else.
+                assert_eq!(
+                    holding,
+                    [tid - 1],
+                    "wrong waiter woken: thread {tid} got locks {holding:?}"
+                );
+                correct += 1;
             }
         }
         steps += 1;
@@ -120,25 +99,24 @@ pub fn drain_junction(j: &mut Junction) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::check_fere_local;
 
     #[test]
     fn junction_census_equals_locks_held() {
         // Theorem 10's bound is tight: k locks held ⇒ k threads spinning on
         // one Grant word.
         for k in 1..=4 {
-            let mut j = build_junction(k, HemlockFlavor::Ctr);
-            let census = spin_census(&mut j.world);
+            let j = build_junction(k, HemlockFlavor::Ctr);
+            let census = spin_census(&j.world);
             assert_eq!(census[0], k, "junction of degree {k}");
             // But never *above* the bound:
-            assert!(check_fere_local(&mut j.world).is_none());
+            assert_eq!(j.world.check_now(), Ok(()));
         }
     }
 
     #[test]
     fn junction_census_naive_flavor() {
-        let mut j = build_junction(3, HemlockFlavor::Naive);
-        assert_eq!(spin_census(&mut j.world)[0], 3);
+        let j = build_junction(3, HemlockFlavor::Naive);
+        assert_eq!(spin_census(&j.world)[0], 3);
     }
 
     #[test]
@@ -162,14 +140,12 @@ mod tests {
                 Program::hand_over_hand(4, 3),
                 Program::hand_over_hand(4, 3),
             ];
-            let mut world = World::new(algo, programs);
+            let mut world = ProtoWorld::new(LockSim::new(algo, programs));
             let mut rng = SplitMix64::new(seed);
             let mut steps = 0u64;
             while !world.all_finished() {
-                let live: Vec<usize> = (0..3).filter(|&t| !world.threads[t].finished()).collect();
-                let tid = live[(rng.next() % live.len() as u64) as usize];
-                world.step(tid);
-                let census = spin_census(&mut world);
+                world.step(world.random_live(&mut rng));
+                let census = spin_census(&world);
                 assert!(
                     census.iter().all(|&c| c <= 1),
                     "multi-waiting under hand-over-hand: {census:?}"

@@ -34,11 +34,11 @@ pub trait LockAlgorithm {
     /// Number of simulated memory words.
     fn words(&self) -> usize;
 
-    /// Number of locks this configuration was laid out for. The property
-    /// checkers size their per-lock oracles (FIFO queues, mutual-exclusion
-    /// census) from this, so it is derived from the algorithm rather than
-    /// passed alongside the world — a mismatched count would silently skip
-    /// tracking for the extra locks.
+    /// Number of locks this configuration was laid out for.
+    /// [`LockSim`](crate::LockSim) sizes its per-lock oracles (doorstep
+    /// ticket counters, mutual-exclusion census) from this, so it is derived
+    /// from the algorithm rather than passed alongside it — a mismatched
+    /// count would silently skip checking the extra locks.
     fn locks(&self) -> usize;
 
     /// Initial memory contents (length == `words()`).
@@ -72,7 +72,7 @@ pub trait LockAlgorithm {
     fn private_word(&self, tid: usize) -> Loc;
 
     /// For algorithms with a Hemlock-style per-thread mailbox: the Grant
-    /// word of thread `tid`. Used by the fere-local spinning census.
+    /// word of thread `tid`. Used by the fere-local spinning invariant.
     fn grant_word(&self, _tid: usize) -> Option<Loc> {
         None
     }

@@ -1,14 +1,15 @@
 //! # hemlock-simlock
 //!
-//! The lock algorithms of the Hemlock paper (Dice & Kogan, SPAA 2021)
-//! re-encoded as **deterministic state machines over a simulated shared
-//! memory** — the substrate for two of this workspace's reproductions:
+//! The lock algorithms of the Hemlock paper (Dice & Kogan, SPAA 2021), and
+//! the protocols this workspace built on them, re-encoded as
+//! **deterministic state machines over a simulated shared memory** — the
+//! substrate for two of this workspace's reproductions:
 //!
 //! - `hemlock-model` explores schedules over these machines to check the
 //!   paper's §3 theorems (mutual exclusion, FIFO, fere-local spinning,
-//!   progress);
-//! - `hemlock-coherence` replays their memory accesses through a
-//!   MESI/MESIF/MOESI cache model to regenerate Table 2's offcore-access
+//!   progress) and the post-seed protocols' own invariants;
+//! - `hemlock-coherence` replays the lock machines' memory accesses through
+//!   a MESI/MESIF/MOESI cache model to regenerate Table 2's offcore-access
 //!   analysis.
 //!
 //! Every thread step performs at most one atomic operation
@@ -17,54 +18,64 @@
 //! schedulable here, and each operation is visible to observers with
 //! checker metadata (doorstep markers, spin-wait targets).
 //!
+//! There is one world, [`ProtoWorld`], over any [`ProtocolSim`]. A lock
+//! algorithm ([`LockAlgorithm`]) runs on it through the [`LockSim`]
+//! adapter, which interprets one [`Program`] per thread:
+//!
 //! ```
 //! use hemlock_simlock::algos::{HemlockSim, HemlockFlavor};
-//! use hemlock_simlock::program::Program;
-//! use hemlock_simlock::world::World;
+//! use hemlock_simlock::{LockSim, Program, ProtoWorld};
 //!
 //! let algo = HemlockSim::new(2, 1, HemlockFlavor::Ctr);
-//! let programs = vec![
-//!     Program::lock_unlock(0, 0, 0, 10),
-//!     Program::lock_unlock(0, 0, 0, 10),
-//! ];
-//! let mut world = World::new(algo, programs);
-//! let events = world.run_round_robin(100_000).expect("terminates");
-//! assert!(world.all_finished());
-//! # let _ = events;
+//! let programs = vec![Program::lock_unlock(0, 0, 0, 10); 2];
+//! let mut world = ProtoWorld::new(LockSim::new(algo, programs));
+//! let steps = world.run_round_robin(100_000).expect("terminates");
+//! assert!(world.all_finished() && steps > 0);
+//! assert!(world.check_now().is_ok());
 //! ```
 
 #![deny(missing_docs)]
 
 pub mod algo;
 pub mod algos;
+pub mod locks;
 pub mod op;
 pub mod program;
 pub mod proto;
 pub mod protocols;
-pub mod world;
 
 pub use algo::{AlgoStep, LockAlgorithm};
+pub use locks::{LockSim, LockThread};
 pub use op::{AccessKind, Loc, Meta, Op, Until, Val};
 pub use program::{Action, Program};
-pub use proto::{ProtoThread, ProtoViolation, ProtoWorld, ProtocolSim};
-pub use world::{Event, Exec, SimThread, SplitMix64, StepOutcome, World};
+pub use proto::{ProtoThread, ProtoViolation, ProtoWorld, ProtocolSim, SplitMix64};
 
 #[cfg(test)]
 mod proptests {
     use crate::algos::{ClhSim, HemlockFlavor, HemlockSim, McsSim, TicketSim};
-    use crate::{Event, LockAlgorithm, Program, World};
+    use crate::{LockAlgorithm, LockSim, Meta, Program, ProtoWorld, SplitMix64};
     use proptest::prelude::*;
 
-    fn event_counts<A: LockAlgorithm>(mut world: World<A>, seed: u64) -> (usize, usize, usize) {
-        let events = world
-            .run_random(seed, 20_000_000)
-            .expect("must terminate under a fair schedule");
-        let count = |f: fn(&Event) -> bool| events.iter().filter(|e| f(e)).count();
-        (
-            count(|e| matches!(e, Event::Doorstep { .. })),
-            count(|e| matches!(e, Event::Acquired { .. })),
-            count(|e| matches!(e, Event::Released { .. })),
-        )
+    /// Doorsteps, acquisitions and releases of one seeded random run.
+    fn event_counts<A: LockAlgorithm>(sim: LockSim<A>, seed: u64) -> (usize, usize, u64) {
+        let mut world = ProtoWorld::new(sim);
+        let mut rng = SplitMix64::new(seed);
+        let (mut doorsteps, mut acquisitions, mut steps) = (0, 0, 0u64);
+        while !world.all_finished() {
+            steps += 1;
+            assert!(steps <= 20_000_000, "must terminate under a fair schedule");
+            let tid = world.random_live(&mut rng);
+            let held = world.threads[tid].state.holding().len();
+            if let Some((_, Meta::Doorstep { .. })) = world.step(tid) {
+                doorsteps += 1;
+            }
+            // A step completes at most one acquire or release.
+            if world.threads[tid].state.holding().len() > held {
+                acquisitions += 1;
+            }
+        }
+        let releases = world.threads.iter().map(|t| t.state.releases()).sum();
+        (doorsteps, acquisitions, releases)
     }
 
     proptest! {
@@ -84,20 +95,20 @@ mod proptests {
             let programs = vec![Program::lock_unlock(0, cs, ncs, rounds); threads];
             let expected = threads * rounds as usize;
             let (d, a, r) = match algo_ix {
-                0 => event_counts(World::new(TicketSim::new(threads, 1), programs), seed),
-                1 => event_counts(World::new(McsSim::new(threads, 1), programs), seed),
-                2 => event_counts(World::new(ClhSim::new(threads, 1), programs), seed),
+                0 => event_counts(LockSim::new(TicketSim::new(threads, 1), programs), seed),
+                1 => event_counts(LockSim::new(McsSim::new(threads, 1), programs), seed),
+                2 => event_counts(LockSim::new(ClhSim::new(threads, 1), programs), seed),
                 i => {
                     let flavor = HemlockFlavor::ALL[i - 3];
                     event_counts(
-                        World::new(HemlockSim::new(threads, 1, flavor), programs),
+                        LockSim::new(HemlockSim::new(threads, 1, flavor), programs),
                         seed,
                     )
                 }
             };
             prop_assert_eq!(d, expected, "doorsteps");
             prop_assert_eq!(a, expected, "acquisitions");
-            prop_assert_eq!(r, expected, "releases");
+            prop_assert_eq!(r, expected as u64, "releases");
         }
 
         /// Memory stays quiescent after full termination: every lock's tail
@@ -108,7 +119,7 @@ mod proptests {
             let algo = HemlockSim::new(threads, 1, flavor);
             let tail = algo.tail(0);
             let programs = vec![Program::lock_unlock(0, 0, 0, 2); threads];
-            let mut world = World::new(algo, programs);
+            let mut world = ProtoWorld::new(LockSim::new(algo, programs));
             world.run_random(seed, 20_000_000).expect("terminates");
             prop_assert_eq!(world.mem[tail], 0, "{:?}: tail must drain", flavor);
         }

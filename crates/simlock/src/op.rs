@@ -59,9 +59,7 @@ impl Op {
     }
 
     /// Executes this operation against simulated memory, returning the value
-    /// read (the *old* value for RMWs, 0 for stores). Shared by the lock
-    /// [`World`](crate::World) and the protocol
-    /// [`ProtoWorld`](crate::ProtoWorld).
+    /// read (the *old* value for RMWs, 0 for stores).
     pub fn apply(self, mem: &mut [Val]) -> Val {
         match self {
             Op::Load(l) => mem[l],
@@ -153,13 +151,6 @@ pub enum Meta {
         /// Exit condition of the busy-wait loop.
         until: Until,
     },
-}
-
-impl Meta {
-    /// True when this marks a busy-wait poll.
-    pub fn is_spin(&self) -> bool {
-        matches!(self, Meta::SpinWait { .. })
-    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
-//! The protocol-simulation substrate: generalizes the lock-machine
-//! [`World`](crate::World) to arbitrary small concurrency protocols.
+//! The simulation substrate: small concurrency protocols as deterministic
+//! state machines over simulated shared memory.
 //!
-//! The post-seed layers of this workspace (the `WakerSet` Dekker pair, the
-//! `WakerQueue` grant/cancel machinery, `ShardedTable::with_two`'s ordered
-//! acquire, `HemlockRw`'s drain/withdrawal, and the flat-combining
-//! publication-record lifecycle) are hand-rolled protocols that the paper
-//! does not verify for us. Each one is re-encoded here as a
-//! [`ProtocolSim`]: a deterministic state machine issuing one atomic
-//! operation per step against explicit shared words, exactly like
-//! `HemlockSim` models the lock itself — so `hemlock-model` can explore
-//! every schedule of a small configuration and check the protocol's own
-//! invariants at every reachable state.
+//! Every model in this crate is a [`ProtocolSim`]: the paper's lock
+//! algorithms (through the [`LockSim`](crate::LockSim) adapter, whose
+//! invariants are the §3 theorems) and the post-seed layers of this
+//! workspace (the `WakerSet` Dekker pair, the `WakerQueue` grant/cancel
+//! machinery, `ShardedTable::with_two`'s ordered acquire, `HemlockRw`'s
+//! drain/withdrawal, the flat-combining publication-record lifecycle, and
+//! the reactor's park and stop protocols), which are hand-rolled protocols
+//! the paper does not verify for us. Each machine issues one atomic
+//! operation per step against explicit shared words, so `hemlock-model` can
+//! explore every schedule of a small configuration and check the model's
+//! named invariants at every reachable state.
 //!
 //! Two deliberate modeling conventions:
 //!
@@ -26,7 +27,6 @@
 
 use crate::algo::AlgoStep;
 use crate::op::{Meta, Op, Val};
-use crate::world::SplitMix64;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -48,11 +48,12 @@ impl std::fmt::Display for ProtoViolation {
 
 /// A concurrency protocol compiled to the simulated machine.
 ///
-/// Unlike [`LockAlgorithm`](crate::LockAlgorithm), a protocol thread runs a
-/// fixed role script baked into its state machine (lock/park/cancel/combine
-/// sequences with the protocol's own semantics) rather than interpreting a
-/// [`Program`](crate::Program); and the protocol carries its own named
-/// invariants, which the model checker evaluates at every explored state.
+/// A protocol thread runs a script baked into its state machine
+/// (lock/park/cancel/combine sequences with the protocol's own semantics,
+/// or, for [`LockSim`](crate::LockSim), a [`Program`](crate::Program) over
+/// a [`LockAlgorithm`](crate::LockAlgorithm)); and the protocol carries its
+/// own named invariants, which the model checker evaluates at every
+/// explored state.
 pub trait ProtocolSim {
     /// Per-thread machine state (registers + program counter).
     type Thread: Clone + Hash + Eq + std::fmt::Debug;
@@ -78,6 +79,12 @@ pub trait ProtocolSim {
     /// the previous `step` (0 on the very first call). Returning
     /// [`AlgoStep::Done`] means the thread's whole script is complete.
     fn step(&self, t: &mut Self::Thread, last: Val) -> AlgoStep;
+
+    /// Checker bookkeeping for an executed operation, run after the
+    /// operation and before the next `step`, so it adds no scheduling
+    /// point. It may write checker-only words past the protocol's real
+    /// memory and checker-only thread fields. The default does nothing.
+    fn ghost(&self, _mem: &mut [Val], _t: &mut Self::Thread, _meta: Meta) {}
 
     /// Safety invariants, checked at every explored state (including states
     /// where threads are mid-operation). Return the first violated
@@ -105,12 +112,13 @@ pub trait ProtocolSim {
 }
 
 /// One simulated protocol thread: machine state + the in-flight operation.
+///
+/// The result of an executed operation is handed to [`ProtocolSim::step`]
+/// at once and is not kept, so it never splits states with one future.
 #[derive(Clone, Debug)]
 pub struct ProtoThread<T> {
     /// Protocol machine state (registers + program counter).
     pub state: T,
-    /// Result of the last executed operation.
-    pub last: Val,
     /// Operation issued but not yet executed.
     pub pending: Option<(Op, Meta)>,
     /// The thread's script ran to completion.
@@ -120,7 +128,6 @@ pub struct ProtoThread<T> {
 impl<T: Hash> ProtoThread<T> {
     fn state_hash(&self, h: &mut impl Hasher) {
         self.state.hash(h);
-        self.last.hash(h);
         self.pending.hash(h);
         self.done.hash(h);
     }
@@ -147,7 +154,6 @@ impl<P: ProtocolSim> ProtoWorld<P> {
         let threads = (0..proto.threads())
             .map(|tid| ProtoThread {
                 state: proto.new_thread(tid),
-                last: 0,
                 pending: None,
                 done: false,
             })
@@ -169,29 +175,30 @@ impl<P: ProtocolSim> ProtoWorld<P> {
         self.threads.iter().all(|t| t.done)
     }
 
-    fn refill(&mut self, tid: usize) {
+    fn refill(&mut self, tid: usize, last: Val) {
         let t = &mut self.threads[tid];
         if t.pending.is_some() || t.done {
             return;
         }
-        match self.proto.step(&mut t.state, t.last) {
+        match self.proto.step(&mut t.state, last) {
             AlgoStep::Issue(op, meta) => t.pending = Some((op, meta)),
             AlgoStep::Done => t.done = true,
         }
     }
 
-    /// Advances thread `tid` by one atomic operation. Returns `false` if the
-    /// thread was already finished (no operation executed).
-    pub fn step(&mut self, tid: usize) -> bool {
-        self.refill(tid);
-        let Some((op, _meta)) = self.threads[tid].pending.take() else {
-            return false;
-        };
-        self.threads[tid].last = op.apply(&mut self.mem);
+    /// Advances thread `tid` by one atomic operation and returns it, or
+    /// `None` if the thread was already finished.
+    pub fn step(&mut self, tid: usize) -> Option<(Op, Meta)> {
+        // Only a thread's first step finds nothing issued yet.
+        self.refill(tid, 0);
+        let (op, meta) = self.threads[tid].pending.take()?;
+        let last = op.apply(&mut self.mem);
+        self.proto
+            .ghost(&mut self.mem, &mut self.threads[tid].state, meta);
         // Pull the machine forward so completion is observed in the same
         // step as the operation that caused it.
-        self.refill(tid);
-        true
+        self.refill(tid, last);
+        Some((op, meta))
     }
 
     /// Runs the protocol's per-state safety invariants on the current state.
@@ -224,7 +231,7 @@ impl<P: ProtocolSim> ProtoWorld<P> {
         let mut steps = 0u64;
         while !self.all_finished() {
             for tid in 0..self.thread_count() {
-                if self.step(tid) {
+                if self.step(tid).is_some() {
                     steps += 1;
                 }
             }
@@ -235,6 +242,16 @@ impl<P: ProtocolSim> ProtoWorld<P> {
         Some(steps)
     }
 
+    /// The seeded fair scheduler: a uniformly random unfinished thread.
+    /// Every random walk, and the Table 2 replay, picks threads through it.
+    /// Call only while some thread is unfinished.
+    pub fn random_live(&self, rng: &mut SplitMix64) -> usize {
+        let live: Vec<usize> = (0..self.thread_count())
+            .filter(|&t| !self.threads[t].done)
+            .collect();
+        live[(rng.next() % live.len() as u64) as usize]
+    }
+
     /// Runs threads under a seeded uniformly-random (hence probabilistically
     /// fair) schedule. Returns the number of operations executed, or `None`
     /// on budget exhaustion.
@@ -242,16 +259,47 @@ impl<P: ProtocolSim> ProtoWorld<P> {
         let mut rng = SplitMix64::new(seed);
         let mut steps = 0u64;
         while !self.all_finished() {
-            let live: Vec<usize> = (0..self.thread_count())
-                .filter(|&t| !self.threads[t].done)
-                .collect();
-            let tid = live[(rng.next() % live.len() as u64) as usize];
-            self.step(tid);
+            self.step(self.random_live(&mut rng));
             steps += 1;
             if steps > max_steps {
                 return None;
             }
         }
         Some(steps)
+    }
+}
+
+/// Tiny deterministic PRNG for the random schedulers (no external deps).
+#[derive(Clone, Debug)]
+pub struct SplitMix64(u64);
+
+impl SplitMix64 {
+    /// Seeds the generator.
+    pub fn new(seed: u64) -> Self {
+        Self(seed.wrapping_add(0x9E3779B97F4A7C15))
+    }
+
+    /// Next 64-bit value.
+    #[allow(clippy::should_implement_trait)] // not an Iterator: infinite stream
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SplitMix64;
+
+    #[test]
+    fn splitmix_is_deterministic() {
+        let mut a = SplitMix64::new(42);
+        let mut b = SplitMix64::new(42);
+        for _ in 0..100 {
+            assert_eq!(a.next(), b.next());
+        }
     }
 }

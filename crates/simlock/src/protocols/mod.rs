@@ -4,8 +4,8 @@
 //! workspace's post-seed layers as a [`ProtocolSim`](crate::ProtocolSim)
 //! state machine, with named invariants and deliberately-injected bug
 //! variants for negative testing. The `hemlock-model` crate explores these
-//! exhaustively at small scope; `docs/ARCHITECTURE.md` ("Model checking
-//! the post-seed protocols") tabulates the scenarios.
+//! exhaustively at small scope; `docs/ARCHITECTURE.md` ("Model checking")
+//! tabulates the scenarios.
 //!
 //! | module | real code | scenario name |
 //! |---|---|---|

@@ -3,13 +3,14 @@
 //!
 //! Run with: `cargo run --release --example model_check`
 
-use hemlock_model::{build_junction, drain_junction, explore, spin_census, ExploreConfig};
+use hemlock_model::{build_junction, drain_junction, explore_proto, spin_census};
 use hemlock_simlock::algos::{ClhSim, HemlockFlavor, HemlockSim, McsSim, TicketSim};
-use hemlock_simlock::{LockAlgorithm, Program, World};
+use hemlock_simlock::{LockAlgorithm, LockSim, Program, ProtoWorld};
 
-fn check<A: LockAlgorithm + Clone>(world: World<A>) {
-    let name = world.algo.name();
-    let report = explore(world, ExploreConfig::default());
+fn check<A: LockAlgorithm + Clone>(algo: A) {
+    let name = algo.name();
+    let programs = vec![Program::lock_unlock(0, 1, 0, 2); 2];
+    let report = explore_proto(ProtoWorld::new(LockSim::new(algo, programs)), 500_000);
     println!(
         "  {name:<10} {} states, {} terminal, exhaustive: {}, violations: {}",
         report.states,
@@ -24,28 +25,16 @@ fn check<A: LockAlgorithm + Clone>(world: World<A>) {
 fn main() {
     println!("Exhaustive interleaving exploration (2 threads, 1 lock, 2 rounds each):");
     println!("  checking: mutual exclusion (Thm 2), FIFO (Thm 8), fere-local spinning (Thm 10), deadlock-freedom");
-    let programs = || {
-        vec![
-            Program::lock_unlock(0, 1, 0, 2),
-            Program::lock_unlock(0, 1, 0, 2),
-        ]
-    };
-    check(World::new(
-        HemlockSim::new(2, 1, HemlockFlavor::Ctr),
-        programs(),
-    ));
-    check(World::new(
-        HemlockSim::new(2, 1, HemlockFlavor::Naive),
-        programs(),
-    ));
-    check(World::new(McsSim::new(2, 1), programs()));
-    check(World::new(ClhSim::new(2, 1), programs()));
-    check(World::new(TicketSim::new(2, 1), programs()));
+    check(HemlockSim::new(2, 1, HemlockFlavor::Ctr));
+    check(HemlockSim::new(2, 1, HemlockFlavor::Naive));
+    check(McsSim::new(2, 1));
+    check(ClhSim::new(2, 1));
+    check(TicketSim::new(2, 1));
 
     println!("\nFigure 1 junction (thread E holding k locks, k waiters on its one Grant word):");
     for k in 1..=4 {
         let mut junction = build_junction(k, HemlockFlavor::Ctr);
-        let census = spin_census(&mut junction.world);
+        let census = spin_census(&junction.world);
         println!(
             "  k = {k}: census on holder's Grant = {} (Theorem 10 bound = {k})",
             census[0]

@@ -6,18 +6,16 @@
 //! against the Tail CAS; V1's `L|1` tag adds a third Grant state. Every
 //! interleaving of small configurations is enumerated for each.
 
-use hemlock_model::{check_progress, explore, ExploreConfig};
+use hemlock_model::{check_proto_random_run, explore_proto};
 use hemlock_simlock::algos::{HemlockFlavor, HemlockSim};
-use hemlock_simlock::{Action, Program, World};
+use hemlock_simlock::{Action, LockSim, Program, ProtoWorld};
 
-fn assert_clean(world: World<HemlockSim>, label: &str) {
-    let report = explore(
-        world,
-        ExploreConfig {
-            max_states: 3_000_000,
-            check_fere_local: true,
-        },
-    );
+fn world(algo: HemlockSim, programs: Vec<Program>) -> ProtoWorld<LockSim<HemlockSim>> {
+    ProtoWorld::new(LockSim::new(algo, programs))
+}
+
+fn assert_clean(world: ProtoWorld<LockSim<HemlockSim>>, label: &str) {
+    let report = explore_proto(world, 3_000_000);
     assert!(report.clean(), "{label}: {:?}", report.violations);
     assert!(
         report.exhaustive,
@@ -35,7 +33,7 @@ fn all_flavors_two_threads_two_rounds() {
             Program::lock_unlock(0, 0, 0, 2),
         ];
         assert_clean(
-            World::new(HemlockSim::new(2, 1, flavor), programs),
+            world(HemlockSim::new(2, 1, flavor), programs),
             &format!("{flavor:?} 2t x 2r"),
         );
     }
@@ -49,7 +47,7 @@ fn all_flavors_two_threads_with_cs_work() {
             Program::lock_unlock(0, 2, 1, 2),
         ];
         assert_clean(
-            World::new(HemlockSim::new(2, 1, flavor), programs),
+            world(HemlockSim::new(2, 1, flavor), programs),
             &format!("{flavor:?} cs-work"),
         );
     }
@@ -64,7 +62,7 @@ fn all_flavors_three_threads_one_round() {
             Program::lock_unlock(0, 0, 0, 1),
         ];
         assert_clean(
-            World::new(HemlockSim::new(3, 1, flavor), programs),
+            world(HemlockSim::new(3, 1, flavor), programs),
             &format!("{flavor:?} 3t"),
         );
     }
@@ -85,7 +83,7 @@ fn overlap_tight_reacquisition_of_same_lock() {
         Program::lock_unlock(0, 0, 0, 3),
     ];
     assert_clean(
-        World::new(HemlockSim::new(2, 1, HemlockFlavor::Overlap), programs),
+        world(HemlockSim::new(2, 1, HemlockFlavor::Overlap), programs),
         "overlap tight reacquisition",
     );
 }
@@ -106,7 +104,7 @@ fn v1_tag_with_two_locks_nested() {
     );
     let single = Program::lock_unlock(1, 0, 0, 2);
     assert_clean(
-        World::new(
+        world(
             HemlockSim::new(2, 2, HemlockFlavor::V1),
             vec![nested, single],
         ),
@@ -127,7 +125,7 @@ fn ah_and_v2_nested_two_locks() {
             1,
         );
         assert_clean(
-            World::new(
+            world(
                 HemlockSim::new(2, 2, flavor),
                 vec![nested.clone(), nested.clone()],
             ),
@@ -138,18 +136,20 @@ fn ah_and_v2_nested_two_locks() {
 
 #[test]
 fn all_flavors_progress_under_fair_schedules() {
+    // Theorem 6 (bounded form): round-robin within 3M operations, and 15
+    // seeded fair schedules within the walker's per-run cap.
     for flavor in HemlockFlavor::ALL {
         let mk = || {
-            World::new(
+            world(
                 HemlockSim::new(3, 1, flavor),
-                vec![
-                    Program::lock_unlock(0, 1, 1, 8),
-                    Program::lock_unlock(0, 1, 1, 8),
-                    Program::lock_unlock(0, 1, 1, 8),
-                ],
+                vec![Program::lock_unlock(0, 1, 1, 8); 3],
             )
         };
-        assert!(check_progress(mk, 15, 3_000_000), "{flavor:?} liveness");
+        assert!(mk().run_round_robin(3_000_000).is_some(), "{flavor:?}");
+        for seed in 0..15 {
+            let run = check_proto_random_run(mk, seed, 1);
+            assert!(run.clean(), "{flavor:?} seed {seed}: {:?}", run.violation);
+        }
     }
 }
 
@@ -162,7 +162,7 @@ fn all_flavors_multiwait_junction_config() {
             Program::lock_unlock(1, 0, 0, 1),
         ];
         assert_clean(
-            World::new(HemlockSim::new(3, 2, flavor), programs),
+            world(HemlockSim::new(3, 2, flavor), programs),
             &format!("{flavor:?} junction"),
         );
     }
