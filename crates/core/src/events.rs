@@ -1,8 +1,8 @@
 //! Lock-event emission hook: how core locks report to an observer that
 //! lives *above* this crate.
 //!
-//! `hemlock-obs` (the metrics registry and flight recorder) depends on
-//! `hemlock-core`, so core cannot call it directly. Instead this module
+//! `hemlock-obs` (the metrics registry and the per-thread event rings)
+//! depends on `hemlock-core`, so core cannot call it directly. Instead this module
 //! defines the narrow seam between them: a [`LockEvent`] taxonomy, an
 //! [`EventSink`] trait, and a process-wide install point. Instrumented
 //! lock paths call [`emit`]; until a sink is installed that is **one
@@ -46,7 +46,7 @@ pub enum LockEvent {
 }
 
 impl LockEvent {
-    /// The inverse of `self as u8` (for decoding flight-recorder slots).
+    /// The inverse of `self as u8` (for decoding event-ring records).
     pub fn from_u8(b: u8) -> Option<Self> {
         Some(match b {
             0 => LockEvent::Acquire,
@@ -60,7 +60,7 @@ impl LockEvent {
         })
     }
 
-    /// Short stable name (used in flight-recorder dumps).
+    /// Short stable name (used in lock-event dumps and trace exports).
     pub fn name(self) -> &'static str {
         match self {
             LockEvent::Acquire => "acquire",

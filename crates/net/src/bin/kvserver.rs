@@ -79,7 +79,7 @@ fn main() {
         "trace",
         "sample 1 in N request bursts for causal tracing (default 0 = \
          off); clients pull the spans as Chrome-trace JSON over the \
-         TRACE opcode, the flight recorder over RECORDER",
+         TRACE opcode, the lock events over RECORDER",
     )
     .value(
         "trace-seed",

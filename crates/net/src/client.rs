@@ -33,7 +33,7 @@ pub enum Op<'a> {
     Stats,
     /// Trace export request (sampled spans as Chrome-trace JSON).
     Trace,
-    /// Flight-recorder dump request.
+    /// Lock-event dump request.
     Recorder,
 }
 
@@ -217,9 +217,9 @@ impl Client {
         }
     }
 
-    /// Fetches the server's flight-recorder dump (the `RECORDER` opcode)
-    /// as rendered text, site names resolved — the debugger-free path to
-    /// the lock-event ring.
+    /// Fetches the lock events in the server's trace rings (the
+    /// `RECORDER` opcode) as rendered text, one event a line:
+    /// `t0_ns thread site event arg`.
     pub fn recorder_dump(&mut self) -> io::Result<String> {
         match self.one(Op::Recorder)? {
             Response::RecorderDump { text, .. } => Ok(text),

@@ -40,7 +40,7 @@
 //! STATS     = 0x85  tlen:u32 text           (metrics snapshot, UTF-8
 //!                                            "key value" lines)
 //! TRACE     = 0x86  tlen:u32 json           (Chrome-trace JSON export)
-//! RECORDER  = 0x87  tlen:u32 text           (flight-recorder dump)
+//! RECORDER  = 0x87  tlen:u32 text           (lock events, one a line)
 //! ```
 //!
 //! [`Decoder`] is incremental: [`Decoder::feed`] it whatever a socket
@@ -104,9 +104,9 @@ pub enum Request {
         /// Client-chosen id, echoed in the response.
         id: u64,
     },
-    /// Flight-recorder dump request; the server answers
-    /// [`Response::RecorderDump`] with the recorder rendered as text —
-    /// the debugger-free path to the lock-event ring.
+    /// Lock-event dump request; the server answers
+    /// [`Response::RecorderDump`] with the lock events in its trace rings
+    /// rendered as text — the debugger-free path to what the locks did.
     Recorder {
         /// Client-chosen id, echoed in the response.
         id: u64,
@@ -176,12 +176,12 @@ pub enum Response {
         /// Chrome-trace-event JSON document.
         json: String,
     },
-    /// Answer to [`Request::Recorder`]: the flight recorder rendered as
+    /// Answer to [`Request::Recorder`]: the lock events rendered as
     /// text, newest-last, with site names resolved.
     RecorderDump {
         /// Echo of the request id.
         id: u64,
-        /// Rendered recorder dump.
+        /// Rendered lock events.
         text: String,
     },
 }

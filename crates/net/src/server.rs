@@ -314,30 +314,41 @@ fn stats_text() -> String {
     hemlock_obs::registry().snapshot().render_text()
 }
 
-/// Every sampled span drained and rendered for the `TRACE` opcode.
-///
-/// The response must fit one protocol frame ([`crate::proto::MAX_FRAME`]);
-/// a full set of rings can render to several MiB, so when the document
-/// is oversized the oldest half of the events is dropped and the trace
-/// re-rendered until it fits — the rings already bound history in
-/// records, this bounds it on the wire. Recent spans always survive.
+/// Every sampled span and lock event, rendered for the `TRACE` opcode.
 fn trace_json() -> String {
     let mut events = trace::export_events();
     events.sort_by_key(|e| e.t0_ns);
+    newest_that_fit(events, trace::chrome_trace_json)
+}
+
+/// The lock events of every ring, merged by time and rendered for the
+/// `RECORDER` opcode — the debugger-free path to what the locks did.
+fn recorder_text() -> String {
+    let mut events = trace::export_events();
+    events.retain(|e| matches!(e.kind, trace::SpanKind::Lock(_)));
+    events.sort_by_key(|e| e.t0_ns);
+    newest_that_fit(events, trace::lock_events_text)
+}
+
+/// Renders `events` (oldest first) into one response.
+///
+/// The response must fit one protocol frame ([`crate::proto::MAX_FRAME`]);
+/// a full set of rings can render to several MiB, so when the document
+/// is oversized the oldest half of the events is dropped and the rest
+/// re-rendered until it fits — the rings already bound history in
+/// records, this bounds it on the wire. Recent events always survive.
+fn newest_that_fit(
+    mut events: Vec<trace::ExportEvent>,
+    render: fn(&[trace::ExportEvent]) -> String,
+) -> String {
     loop {
-        let doc = trace::chrome_trace_json(&events);
+        let doc = render(&events);
         if events.is_empty() || doc.len() + 64 <= crate::proto::MAX_FRAME {
             return doc;
         }
         let drop_n = events.len().div_ceil(2);
         events.drain(..drop_n);
     }
-}
-
-/// The flight recorder rendered for the `RECORDER` opcode — the
-/// debugger-free path to the lock-event ring (site names resolved).
-fn recorder_text() -> String {
-    hemlock_obs::recorder::recorder().dump_text()
 }
 
 /// Executes one decoded pipeline burst as a single batch: converts the

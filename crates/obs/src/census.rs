@@ -1,49 +1,52 @@
-//! The lock-event census: `hemlock-core`'s event stream, aggregated into
-//! the registry's `core.*` metrics and the flight recorder.
+//! The lock-event census: every observed lock event, aggregated into the
+//! registry's `core.*` metrics and written into the calling thread's
+//! trace ring.
 //!
-//! `hemlock-core` cannot depend on this crate, so its instrumented lock
-//! paths emit through the narrow `hemlock_core::events` seam. [`install`]
-//! plugs this module's sink into that seam; from then on every emitted
-//! event increments the matching `core.*` registry metric, lands in the
-//! process-wide flight recorder, and — for `TimeoutAbort` — stashes a
-//! recorder dump for [`crate::recorder::take_timeout_dump`].
+//! [`note`] is the one entry point. `hemlock-core` cannot depend on this
+//! crate, so its instrumented lock paths emit through the narrow
+//! `hemlock_core::events` seam; [`install`] plugs this module's sink into
+//! that seam, and the sink calls [`note`]. The `Observed<L>` wrapper calls
+//! [`note`] directly.
 //!
 //! [`report`] reads the census back in the shape of the paper's §5.4
 //! characterization (acquires, contended acquires, lock-while-holding,
 //! max locks held, max Grant-word waiters), replacing the counter
 //! plumbing `HemlockInstrumented` used to carry itself.
 
-use crate::recorder;
 use crate::registry::registry;
+use crate::trace;
 use hemlock_core::events::{self, EventSink, LockEvent};
 use std::fmt;
 
-struct RegistrySink;
+/// Records one lock event from `site` (the lock's `META.name`): bumps
+/// the matching `core.*` metric and writes the event, with `arg` and the
+/// thread's current trace id, into the thread's trace ring. A no-op while
+/// [`crate::enabled`] is off.
+pub fn note(site: &'static str, event: LockEvent, arg: u64) {
+    if !crate::enabled() {
+        return;
+    }
+    let r = registry();
+    match event {
+        LockEvent::Acquire => {
+            r.core_acquires.inc();
+            r.core_locks_held.observe(arg as i64);
+        }
+        LockEvent::ContendedAcquire => r.core_contended_acquires.inc(),
+        LockEvent::ContendedHandover => r.core_contended_handovers.inc(),
+        LockEvent::LockWhileHolding => r.core_lock_while_holding.inc(),
+        LockEvent::GrantWaiters => r.core_grant_waiters.observe(arg as i64),
+        LockEvent::Release => r.core_releases.inc(),
+        LockEvent::TimeoutAbort => r.core_timeout_aborts.inc(),
+    }
+    trace::lock_event(site, event, arg);
+}
 
-static SINK: RegistrySink = RegistrySink;
+struct RegistrySink;
 
 impl EventSink for RegistrySink {
     fn record(&self, site: &'static str, event: LockEvent, arg: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        let r = registry();
-        match event {
-            LockEvent::Acquire => {
-                r.core_acquires.inc();
-                r.core_locks_held.observe(arg as i64);
-            }
-            LockEvent::ContendedAcquire => r.core_contended_acquires.inc(),
-            LockEvent::ContendedHandover => r.core_contended_handovers.inc(),
-            LockEvent::LockWhileHolding => r.core_lock_while_holding.inc(),
-            LockEvent::GrantWaiters => r.core_grant_waiters.observe(arg as i64),
-            LockEvent::Release => r.core_releases.inc(),
-            LockEvent::TimeoutAbort => {
-                r.core_timeout_aborts.inc();
-                recorder::store_timeout_dump();
-            }
-        }
-        recorder::recorder().record(site, event, arg);
+        note(site, event, arg);
     }
 }
 
@@ -52,7 +55,7 @@ impl EventSink for RegistrySink {
 /// counted (the `Observed<L>` wrapper reports directly and does not need
 /// this).
 pub fn install() {
-    events::install(&SINK);
+    events::install(&RegistrySink);
 }
 
 /// Snapshot of the family-wide lock census (the §5.4 characterization).

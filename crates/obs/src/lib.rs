@@ -1,8 +1,9 @@
 //! # hemlock-obs
 //!
 //! Zero-dependency observability for the Hemlock workspace: one metrics
-//! registry, one histogram type, one flight recorder — threaded through
-//! every layer from the core lock protocols to the networked KV server.
+//! registry, one histogram type, one event ring per thread — threaded
+//! through every layer from the core lock protocols to the networked KV
+//! server.
 //!
 //! The paper's value proposition is *measured* behaviour (the §5.4
 //! censuses: contended acquires, grant waiters, multi-hold degree); this
@@ -19,16 +20,15 @@
 //! - [`hist`] — [`Hist`], the log-bucketed mergeable histogram promoted
 //!   from the bench harness (which now re-exports it), plus the
 //!   percentile-set extraction ([`Pcts`]) all bench bins share.
-//! - [`recorder`] — the lock-event flight recorder: a fixed-size
-//!   lock-free ring of recent `{tick, site, event}` records, dumpable on
-//!   demand or automatically on a `try_lock_for` timeout.
-//! - [`census`] — the sink that plugs into `hemlock_core::events` and
-//!   aggregates instrumented-lock events into `core.*` metrics.
+//! - [`census`] — [`census::note`], the one entry point for lock events:
+//!   it aggregates them into `core.*` metrics and writes them into the
+//!   trace rings; its sink plugs into `hemlock_core::events`.
 //! - [`observed`] — the generic [`Observed<L>`](observed::Observed) lock
 //!   wrapper (catalog key `obs.hemlock`).
 //! - [`mod@trace`] — sampled request-scoped causal tracing: span API,
-//!   per-thread checksummed rings, and a Chrome-trace / Perfetto JSON
-//!   exporter, with the same one-relaxed-load disabled cost contract.
+//!   per-thread checksummed rings that also hold every lock event, and a
+//!   Chrome-trace / Perfetto JSON exporter, with the same
+//!   one-relaxed-load disabled cost contract.
 //!
 //! ## Cost discipline
 //!
@@ -46,7 +46,6 @@ pub mod census;
 pub mod hist;
 pub mod metrics;
 pub mod observed;
-pub mod recorder;
 pub mod registry;
 pub mod trace;
 
@@ -76,6 +75,15 @@ pub fn set_enabled(on: bool) {
 /// so `HemlockInstrumented` events are counted. Idempotent.
 pub fn init() {
     census::install();
+}
+
+/// Serializes this crate's tests that change trace sampling, reset the
+/// trace rings, or read ring contents (all process-wide state).
+#[cfg(test)]
+fn ring_tests() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

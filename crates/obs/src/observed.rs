@@ -1,6 +1,7 @@
 //! `Observed<L>` — a zero-size lock wrapper that reports acquisitions,
-//! contention, releases, and timed-out aborts to the registry and flight
-//! recorder.
+//! contention, releases, and timed-out aborts through
+//! [`census::note`](crate::census::note): to the registry and the calling
+//! thread's trace ring.
 //!
 //! With observability disabled ([`crate::set_enabled`]`(false)`) every
 //! operation is the inner lock's operation behind **one relaxed load and
@@ -20,8 +21,7 @@
 //!
 //! The catalog registers [`ObservedHemlock`] under the key `obs.hemlock`.
 
-use crate::recorder::{recorder, store_timeout_dump};
-use crate::registry::registry;
+use crate::census::note;
 use hemlock_core::events::LockEvent;
 use hemlock_core::meta::LockMeta;
 use hemlock_core::raw::{RawLock, RawTryLock};
@@ -70,26 +70,21 @@ impl<L: Default, T: ObsTag> Default for Observed<L, T> {
 }
 
 impl<L: RawTryLock, T: ObsTag> Observed<L, T> {
-    /// Registry + recorder bookkeeping for one successful acquisition.
+    /// Census bookkeeping for one successful acquisition.
     #[cold]
     fn note_acquired(contended: bool) {
-        let r = registry();
         let held = HELD.with(|h| {
             let v = h.get() + 1;
             h.set(v);
             v
         });
         if held > 1 {
-            r.core_lock_while_holding.inc();
-            recorder().record(T::NAME, LockEvent::LockWhileHolding, 0);
+            note(T::NAME, LockEvent::LockWhileHolding, 0);
         }
         if contended {
-            r.core_contended_acquires.inc();
-            recorder().record(T::NAME, LockEvent::ContendedAcquire, 0);
+            note(T::NAME, LockEvent::ContendedAcquire, 0);
         }
-        r.core_acquires.inc();
-        r.core_locks_held.observe(held as i64);
-        recorder().record(T::NAME, LockEvent::Acquire, held as u64);
+        note(T::NAME, LockEvent::Acquire, held as u64);
     }
 
     #[cold]
@@ -99,15 +94,7 @@ impl<L: RawTryLock, T: ObsTag> Observed<L, T> {
             h.set(v);
             v
         });
-        registry().core_releases.inc();
-        recorder().record(T::NAME, LockEvent::Release, held as u64);
-    }
-
-    #[cold]
-    fn note_timeout() {
-        registry().core_timeout_aborts.inc();
-        recorder().record(T::NAME, LockEvent::TimeoutAbort, 0);
-        store_timeout_dump();
+        note(T::NAME, LockEvent::Release, held as u64);
     }
 }
 
@@ -177,7 +164,7 @@ unsafe impl<L: RawTryLock + 'static, T: ObsTag + Send + Sync + 'static> RawTryLo
         if ok {
             Self::note_acquired(true);
         } else {
-            Self::note_timeout();
+            note(T::NAME, LockEvent::TimeoutAbort, 0);
         }
         ok
     }
@@ -186,6 +173,8 @@ unsafe impl<L: RawTryLock + 'static, T: ObsTag + Send + Sync + 'static> RawTryLo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::registry;
+    use crate::trace::{export_events, lock_events_text};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -227,6 +216,7 @@ mod tests {
 
     #[test]
     fn timeout_aborts_are_counted_and_dump() {
+        let _rings = crate::ring_tests();
         let r = registry();
         let aborts0 = r.core_timeout_aborts.get();
         let l = ObservedHemlock::default();
@@ -234,18 +224,10 @@ mod tests {
         assert!(!l.try_lock_for(Duration::from_millis(5)));
         unsafe { l.unlock() };
         assert!(r.core_timeout_aborts.get() > aborts0);
-        // A dump was stashed for the timed-out caller. The mailbox is
-        // process-global and another test may race a take; re-store until
-        // we win one.
-        let dump = (0..100)
-            .find_map(|_| {
-                crate::recorder::take_timeout_dump().or_else(|| {
-                    crate::recorder::store_timeout_dump();
-                    None
-                })
-            })
-            .expect("dump after timeout");
-        assert!(dump.contains("timeout_abort"));
+        // The abort lands in this thread's ring like any other lock event,
+        // so the `RECORDER` text shows it.
+        let dump = lock_events_text(&export_events());
+        assert!(dump.contains(" Hemlock(obs) timeout_abort 0\n"), "{dump}");
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! the counter/gauge/histogram registry cannot. It samples 1-in-N requests
 //! deterministically (seeded, so two runs against the same workload trace
 //! the same requests), threads a `trace id` through the request path, and
-//! records spans into per-thread ring buffers with the same checksummed
-//! wait-free discipline as the flight recorder. A Chrome-trace-event
-//! exporter renders the rings into JSON that `chrome://tracing` and
-//! Perfetto open directly.
+//! records spans into per-thread checksummed wait-free ring buffers. The
+//! same rings hold every observed lock event ([`crate::census::note`]).
+//! A Chrome-trace-event exporter renders the rings into JSON that
+//! `chrome://tracing` and Perfetto open directly.
 //!
 //! # Cost contract
 //!
@@ -31,6 +31,8 @@
 //!   trace id + name, allowed to overlap and cross threads: whole-request,
 //!   lock wait, lock hold, task suspension, flush.
 //! * [`SpanKind::Instant`] — zero-duration markers ("i").
+//! * [`SpanKind::Lock`] — a lock event, written whether or not the
+//!   thread's request is sampled; an "i" marker named `<site>:<event>`.
 //!
 //! Every span is **one ring record** written at end time (t0, dur, trace
 //! id, interned site, kind); the exporter synthesizes the "b"/"e" pair for
@@ -39,17 +41,19 @@
 //!
 //! # Ring ownership
 //!
-//! Each thread lazily registers one [`TraceRing`] on first write; rings
-//! are never deregistered (thread names survive for the exporter). Writers
-//! are wait-free single-producer; the exporter is a racing reader that
-//! validates a per-slot xor checksum and drops torn records, exactly like
-//! the flight recorder.
+//! Each thread lazily registers one [`TraceRing`] on first write. A ring
+//! outlives its thread (its records stay exportable), and the next thread
+//! to register takes it over, so ring memory is bounded by the peak number
+//! of live writing threads. Writers are wait-free single-producer; the
+//! exporter is a racing reader that validates a per-slot checksum and
+//! drops torn records.
 
 use core::cell::Cell;
 use core::fmt::Write as _;
 use core::marker::PhantomData;
-use core::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use core::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use hemlock_core::events::LockEvent;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -121,77 +125,96 @@ pub fn sample_request() -> u64 {
 // Site interning
 // ---------------------------------------------------------------------------
 
-/// Maximum distinct trace sites; excess interns collapse to `<overflow>`.
+/// Slots in the site table. The last one is never claimed: every site
+/// interned after the others fill resolves to it, as `<overflow>`.
 const MAX_SITES: usize = 64;
+const OVERFLOW: usize = MAX_SITES - 1;
 
 struct SiteTable {
     ptrs: [AtomicUsize; MAX_SITES],
     lens: [AtomicUsize; MAX_SITES],
 }
 
-static SITES: SiteTable = SiteTable {
-    ptrs: [const { AtomicUsize::new(0) }; MAX_SITES],
-    lens: [const { AtomicUsize::new(0) }; MAX_SITES],
-};
+static SITES: SiteTable = SiteTable::new();
 
-/// Intern a `&'static str` site name, returning a small id.
-///
-/// Pointer-identity scan-CAS: for string literals the same site resolves
-/// without rescanning past its slot. Lock-free; ties are broken by CAS and
-/// losers retry the same slot (the winner may be us by value).
-pub fn intern(site: &'static str) -> usize {
-    let p = site.as_ptr() as usize;
-    for i in 0..MAX_SITES {
-        let cur = SITES.ptrs[i].load(Ordering::Acquire);
-        if cur == p {
-            return i;
-        }
-        if cur == 0 {
-            match SITES.ptrs[i].compare_exchange(0, p, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    SITES.lens[i].store(site.len(), Ordering::Release);
-                    return i;
-                }
-                Err(found) => {
-                    if found == p {
-                        return i;
-                    }
-                    // Someone else claimed the slot with a different site;
-                    // keep scanning.
-                }
-            }
-        } else {
-            // Distinct literal with equal contents still gets its own slot
-            // only if pointers differ — compare by value as a fallback so
-            // cross-crate duplicate names don't burn slots.
-            let len = SITES.lens[i].load(Ordering::Acquire);
-            if len == site.len() && len != 0 {
-                let s = unsafe {
-                    core::str::from_utf8_unchecked(core::slice::from_raw_parts(
-                        cur as *const u8,
-                        len,
-                    ))
-                };
-                if s == site {
-                    return i;
-                }
-            }
+impl SiteTable {
+    const fn new() -> SiteTable {
+        SiteTable {
+            ptrs: [const { AtomicUsize::new(0) }; MAX_SITES],
+            lens: [const { AtomicUsize::new(0) }; MAX_SITES],
         }
     }
-    MAX_SITES - 1
+
+    /// Pointer-identity scan-CAS: for string literals the same site
+    /// resolves without rescanning past its slot. Lock-free; ties are
+    /// broken by CAS and losers retry the same slot (the winner may be us
+    /// by value).
+    fn intern(&self, site: &'static str) -> usize {
+        let p = site.as_ptr() as usize;
+        for i in 0..OVERFLOW {
+            let cur = self.ptrs[i].load(Ordering::Acquire);
+            if cur == p {
+                return i;
+            }
+            if cur == 0 {
+                match self.ptrs[i].compare_exchange(0, p, Ordering::AcqRel, Ordering::Acquire) {
+                    Ok(_) => {
+                        // Only the CAS winner writes the len, so a reader
+                        // that sees a nonzero len sees this slot's site.
+                        self.lens[i].store(site.len(), Ordering::Release);
+                        return i;
+                    }
+                    Err(found) => {
+                        if found == p {
+                            return i;
+                        }
+                        // Someone else claimed the slot with a different
+                        // site; keep scanning.
+                    }
+                }
+            } else if self.resolve(i) == Some(site) {
+                // Distinct literal with equal contents: compare by value
+                // so cross-crate duplicate names don't burn slots.
+                return i;
+            }
+        }
+        OVERFLOW
+    }
+
+    /// The site in slot `i`; `None` until its interner has stored the
+    /// length.
+    fn resolve(&self, i: usize) -> Option<&'static str> {
+        let p = self.ptrs[i].load(Ordering::Acquire);
+        let len = self.lens[i].load(Ordering::Acquire);
+        if p == 0 || len == 0 {
+            return None;
+        }
+        // SAFETY: a nonzero len is stored only by the thread whose CAS
+        // installed `p` in this slot, after the CAS, and slots are never
+        // cleared; so (p, len) is the `&'static str` that thread interned.
+        Some(unsafe {
+            core::str::from_utf8_unchecked(core::slice::from_raw_parts(p as *const u8, len))
+        })
+    }
+
+    fn name(&self, id: usize) -> &'static str {
+        match id {
+            OVERFLOW => "<overflow>",
+            id if id > OVERFLOW => "<unknown>",
+            id => self.resolve(id).unwrap_or("<pending>"),
+        }
+    }
+}
+
+/// Intern a `&'static str` site name, returning a small id. Once the
+/// table is full, new sites share one id that resolves to `<overflow>`.
+pub fn intern(site: &'static str) -> usize {
+    SITES.intern(site)
 }
 
 /// Resolve an interned site id back to its name.
 pub fn site_name(id: usize) -> &'static str {
-    if id >= MAX_SITES {
-        return "<unknown>";
-    }
-    let p = SITES.ptrs[id].load(Ordering::Acquire);
-    let len = SITES.lens[id].load(Ordering::Acquire);
-    if p == 0 || len == 0 {
-        return "<pending>";
-    }
-    unsafe { core::str::from_utf8_unchecked(core::slice::from_raw_parts(p as *const u8, len)) }
+    SITES.name(id)
 }
 
 // ---------------------------------------------------------------------------
@@ -207,6 +230,9 @@ pub enum SpanKind {
     Async,
     /// A zero-duration instant ("i") marker.
     Instant,
+    /// A lock event: an instant named `<site>:<event>` whose duration
+    /// word carries the event's `arg` (see [`crate::census::note`]).
+    Lock(LockEvent),
 }
 
 impl SpanKind {
@@ -215,12 +241,14 @@ impl SpanKind {
             SpanKind::Sync => 0,
             SpanKind::Async => 1,
             SpanKind::Instant => 2,
+            SpanKind::Lock(e) => 3 + e as u64,
         }
     }
     fn from_code(c: u64) -> SpanKind {
         match c {
             1 => SpanKind::Async,
             2 => SpanKind::Instant,
+            3.. => LockEvent::from_u8((c - 3) as u8).map_or(SpanKind::Sync, SpanKind::Lock),
             _ => SpanKind::Sync,
         }
     }
@@ -235,7 +263,8 @@ impl SpanKind {
 const CHECK_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Records per thread ring. Power of two; at 1-in-N sampling with ~6
-/// spans per request this holds thousands of sampled requests.
+/// spans per request this holds thousands of sampled requests, or the
+/// last 8192 lock events of an observed-lock thread.
 const RING_CAP: usize = 8192;
 
 struct Slot {
@@ -250,31 +279,37 @@ struct Slot {
 
 /// A single thread's wait-free span ring.
 ///
-/// One writer (the owning thread), any number of racing readers. Writers
-/// store the payload fields relaxed and publish with a Release checksum;
-/// readers Acquire the checksum, re-derive it from relaxed field loads,
-/// and drop the record on mismatch (torn by wraparound).
+/// One writer (the owning thread), any number of racing readers, in the
+/// seqlock discipline: the writer zeroes the checksum, stores the payload
+/// fields relaxed and publishes with a Release checksum; readers Acquire
+/// the checksum, load the fields, and keep the record only if the
+/// checksum re-derives from them and is still in place afterwards (a
+/// record torn by wraparound fails one of the two).
 pub struct TraceRing {
     slots: Box<[Slot]>,
     head: AtomicU64,
 }
 
 impl TraceRing {
-    fn new() -> TraceRing {
-        let mut v = Vec::with_capacity(RING_CAP);
-        for _ in 0..RING_CAP {
-            v.push(Slot {
+    /// `cap` must be a power of two.
+    fn new(cap: usize) -> TraceRing {
+        let slots = (0..cap)
+            .map(|_| Slot {
                 t0: AtomicU64::new(0),
                 dur: AtomicU64::new(0),
                 id: AtomicU64::new(0),
                 meta: AtomicU64::new(0),
                 check: AtomicU64::new(0),
-            });
-        }
+            })
+            .collect();
         TraceRing {
-            slots: v.into_boxed_slice(),
+            slots,
             head: AtomicU64::new(0),
         }
+    }
+
+    fn slot(&self, seq: u64) -> &Slot {
+        &self.slots[(seq as usize) & (self.slots.len() - 1)]
     }
 
     /// Append one span record. Wait-free; overwrites the oldest slot on
@@ -282,10 +317,12 @@ impl TraceRing {
     pub fn push(&self, t0: u64, dur: u64, id: u64, site: usize, kind: SpanKind) {
         let meta = ((site as u64) << 8) | kind.code();
         let h = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(h as usize) & (RING_CAP - 1)];
-        // Invalidate first so a racing reader can't validate a half-new
-        // record against the old checksum.
-        slot.check.store(0, Ordering::Release);
+        let slot = self.slot(h);
+        // Invalidate first. The fence pairs with the reader's Acquire
+        // fence: a reader that loads any of the new fields then re-loads
+        // this 0 (or a later checksum), never the old checksum.
+        slot.check.store(0, Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.t0.store(t0, Ordering::Relaxed);
         slot.dur.store(dur, Ordering::Relaxed);
         slot.id.store(id, Ordering::Relaxed);
@@ -298,11 +335,11 @@ impl TraceRing {
     /// Snapshot every valid record, oldest first. Torn slots are skipped.
     pub fn dump(&self) -> Vec<RawSpan> {
         let h = self.head.load(Ordering::Acquire);
-        let n = (h as usize).min(RING_CAP);
+        let n = (h as usize).min(self.slots.len());
         let start = h.wrapping_sub(n as u64);
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
-            let slot = &self.slots[((start.wrapping_add(i as u64)) as usize) & (RING_CAP - 1)];
+            let slot = self.slot(start.wrapping_add(i as u64));
             let check = slot.check.load(Ordering::Acquire);
             if check == 0 {
                 continue;
@@ -311,7 +348,10 @@ impl TraceRing {
             let dur = slot.dur.load(Ordering::Relaxed);
             let id = slot.id.load(Ordering::Relaxed);
             let meta = slot.meta.load(Ordering::Relaxed);
-            if check != t0 ^ dur ^ id ^ meta ^ CHECK_SEED {
+            fence(Ordering::Acquire);
+            if check != t0 ^ dur ^ id ^ meta ^ CHECK_SEED
+                || slot.check.load(Ordering::Relaxed) != check
+            {
                 continue; // torn by a racing wraparound write
             }
             out.push(RawSpan {
@@ -341,7 +381,8 @@ pub struct RawSpan {
     pub t0: u64,
     /// Duration in ns (0 for instants).
     pub dur: u64,
-    /// Request trace id (nonzero).
+    /// Request trace id (nonzero for spans; 0 for a lock event outside a
+    /// sampled request).
     pub id: u64,
     /// Interned site id; resolve with [`site_name`].
     pub site: usize,
@@ -354,23 +395,41 @@ struct NamedRing {
     ring: Arc<TraceRing>,
 }
 
-fn rings() -> &'static Mutex<Vec<NamedRing>> {
-    static RINGS: OnceLock<Mutex<Vec<NamedRing>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
+/// The ring registry. Every update leaves it valid, so a poisoned lock is
+/// taken over rather than propagated.
+fn rings() -> MutexGuard<'static, Vec<NamedRing>> {
+    static RINGS: Mutex<Vec<NamedRing>> = Mutex::new(Vec::new());
+    RINGS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Hands the calling thread the ring of an exited thread, renamed after
+/// the caller, or a new ring when every ring still has its owner.
+///
+/// The registry's handle is unique once the owner's thread-local handle
+/// has dropped; `Arc::get_mut`'s Acquire pairs with that drop's Release,
+/// so the old owner's writes happen before the new owner's.
+fn register_ring() -> Arc<TraceRing> {
+    let thread = std::thread::current();
+    let mut v = rings();
+    let i = match v
+        .iter_mut()
+        .position(|nr| Arc::get_mut(&mut nr.ring).is_some())
+    {
+        Some(i) => i,
+        None => {
+            v.push(NamedRing {
+                name: String::new(),
+                ring: Arc::new(TraceRing::new(RING_CAP)),
+            });
+            v.len() - 1
+        }
+    };
+    v[i].name = format!("{}#{i}", thread.name().unwrap_or("thread"));
+    Arc::clone(&v[i].ring)
 }
 
 thread_local! {
-    static LOCAL_RING: Arc<TraceRing> = {
-        let ring = Arc::new(TraceRing::new());
-        let name = std::thread::current()
-            .name()
-            .map(str::to_owned)
-            .unwrap_or_else(|| "thread".to_owned());
-        let mut v = rings().lock().unwrap();
-        let name = format!("{name}#{}", v.len());
-        v.push(NamedRing { name, ring: Arc::clone(&ring) });
-        ring
-    };
+    static LOCAL_RING: Arc<TraceRing> = register_ring();
     /// The trace id of the request the current thread is working on
     /// (0 = none). Set per poll by [`Traced`], per burst by the server
     /// loop, and scoped by [`scoped`].
@@ -382,12 +441,21 @@ thread_local! {
 
 #[inline]
 fn push_local(t0: u64, dur: u64, id: u64, site: &'static str, kind: SpanKind) {
-    LOCAL_RING.with(|r| r.push(t0, dur, id, intern(site), kind));
+    // A write after this thread's ring was torn down (from another
+    // thread-local's destructor) is dropped.
+    let _ = LOCAL_RING.try_with(|r| r.push(t0, dur, id, intern(site), kind));
 }
 
-/// Invalidate every registered ring (between-run hygiene in benches).
+/// Write one lock event into the calling thread's ring, stamped now and
+/// with the thread's current trace id; `arg` goes in the duration word.
+pub(crate) fn lock_event(site: &'static str, event: LockEvent, arg: u64) {
+    push_local(now_ns(), arg, current(), site, SpanKind::Lock(event));
+}
+
+/// Invalidate every registered ring — spans and lock events alike
+/// (between-run hygiene in benches).
 pub fn reset_rings() {
-    for nr in rings().lock().unwrap().iter() {
+    for nr in rings().iter() {
         nr.ring.reset();
     }
     REQ_SEQ.store(0, Ordering::Relaxed);
@@ -629,7 +697,7 @@ impl<F: Future> Future for Traced<F> {
 /// One event ready for Chrome-trace rendering or integrity checking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExportEvent {
-    /// Span site name (Chrome `name`).
+    /// Span site name (Chrome `name`); for a lock event, the lock's name.
     pub name: String,
     /// Track (thread) name.
     pub track: String,
@@ -637,7 +705,7 @@ pub struct ExportEvent {
     pub tid: usize,
     /// Start timestamp, ns since the trace epoch.
     pub t0_ns: u64,
-    /// Duration in ns.
+    /// Duration in ns; for a lock event, its `arg`.
     pub dur_ns: u64,
     /// Request trace id (Chrome async `id`).
     pub trace_id: u64,
@@ -648,7 +716,7 @@ pub struct ExportEvent {
 /// Drain every registered ring into export events (oldest-first per ring).
 pub fn export_events() -> Vec<ExportEvent> {
     let mut out = Vec::new();
-    for (tid, nr) in rings().lock().unwrap().iter().enumerate() {
+    for (tid, nr) in rings().iter().enumerate() {
         for s in nr.ring.dump() {
             out.push(ExportEvent {
                 name: site_name(s.site).to_owned(),
@@ -686,8 +754,10 @@ fn us(ns: u64) -> String {
 /// line) that `chrome://tracing` and Perfetto open directly.
 ///
 /// Sync spans become "X" duration events, async spans become "b"/"e"
-/// pairs matched by `(cat, id, name)`, instants become "i". Each distinct
-/// track gets an "M" thread-name metadata record.
+/// pairs matched by `(cat, id, name)`, instants become "i". A lock event
+/// becomes an "i" of category `lock` named `<site>:<event>`, with its
+/// `arg` next to the trace id in `args`. Each distinct track gets an "M"
+/// thread-name metadata record.
 pub fn chrome_trace_json(events: &[ExportEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 160 + 64);
     out.push_str("{\"traceEvents\":[\n");
@@ -722,8 +792,14 @@ pub fn chrome_trace_json(events: &[ExportEvent]) -> String {
             out.push_str(ph);
             out.push_str("\",\"name\":\"");
             push_json_escaped(&mut out, &e.name);
-            out.push_str("\",\"cat\":\"req\",\"pid\":1,\"tid\":");
-            let _ = write!(out, "{}", e.tid);
+            let cat = match e.kind {
+                SpanKind::Lock(ev) => {
+                    let _ = write!(out, ":{}", ev.name());
+                    "lock"
+                }
+                _ => "req",
+            };
+            let _ = write!(out, "\",\"cat\":\"{cat}\",\"pid\":1,\"tid\":{}", e.tid);
             out.push_str(",\"ts\":");
             out.push_str(&us(ts));
             if let Some(d) = dur {
@@ -735,6 +811,9 @@ pub fn chrome_trace_json(events: &[ExportEvent]) -> String {
             } else {
                 out.push_str(",\"args\":{\"trace\":");
                 let _ = write!(out, "{}", e.trace_id);
+                if let SpanKind::Lock(_) = e.kind {
+                    let _ = write!(out, ",\"arg\":{}", e.dur_ns);
+                }
                 out.push('}');
             }
             if ph == "i" {
@@ -748,10 +827,30 @@ pub fn chrome_trace_json(events: &[ExportEvent]) -> String {
                 emit("b", e.t0_ns, None);
                 emit("e", e.t0_ns + e.dur_ns, None);
             }
-            SpanKind::Instant => emit("i", e.t0_ns, None),
+            SpanKind::Instant | SpanKind::Lock(_) => emit("i", e.t0_ns, None),
         }
     }
     out.push_str("\n]}\n");
+    out
+}
+
+/// Render the lock events among `events`, in the order given, one line
+/// each: `t0_ns thread site event arg` — the `RECORDER` opcode's text.
+pub fn lock_events_text(events: &[ExportEvent]) -> String {
+    let mut out = String::from("# lock events: t0_ns thread site event arg\n");
+    for e in events {
+        if let SpanKind::Lock(ev) = e.kind {
+            let _ = writeln!(
+                out,
+                "{} {} {} {} {}",
+                e.t0_ns,
+                e.track,
+                e.name,
+                ev.name(),
+                e.dur_ns
+            );
+        }
+    }
     out
 }
 
@@ -849,14 +948,30 @@ pub fn parse_chrome_json(doc: &str) -> Vec<ExportEvent> {
                     continue;
                 };
                 let trace = json_num(line, "trace").unwrap_or(0.0) as u64;
+                let (name, dur_ns, kind) = match json_str(line, "cat") {
+                    Some("lock") => {
+                        let Some((site, ev)) = name.rsplit_once(':') else {
+                            continue;
+                        };
+                        let Some(ev) = (0..=u8::MAX)
+                            .map_while(LockEvent::from_u8)
+                            .find(|e| e.name() == ev)
+                        else {
+                            continue;
+                        };
+                        let arg = json_num(line, "arg").unwrap_or(0.0) as u64;
+                        (site, arg, SpanKind::Lock(ev))
+                    }
+                    _ => (name, 0, SpanKind::Instant),
+                };
                 out.push(ExportEvent {
                     name: name.to_owned(),
                     track: String::new(),
                     tid: tid as usize,
                     t0_ns: ns_of(ts),
-                    dur_ns: 0,
+                    dur_ns,
                     trace_id: trace,
-                    kind: SpanKind::Instant,
+                    kind,
                 });
             }
             "b" | "e" => {
@@ -963,28 +1078,6 @@ pub fn check_well_formed(events: &[ExportEvent]) -> Vec<String> {
     errs
 }
 
-/// Render flight-recorder records as instant events on one synthetic
-/// track, so an existing [`crate::recorder::Recorder`] dump opens in the same
-/// Perfetto view as a request trace.
-///
-/// Recorder ticks are logical (monotone counter), not ns; they are used
-/// directly as timestamps so relative order is preserved.
-pub fn recorder_to_chrome(events: &[crate::recorder::RecordedEvent]) -> String {
-    let rendered: Vec<ExportEvent> = events
-        .iter()
-        .map(|e| ExportEvent {
-            name: format!("{}:{:?}", e.site, e.event),
-            track: "flight-recorder".to_owned(),
-            tid: 0,
-            t0_ns: e.tick_ns,
-            dur_ns: 0,
-            trace_id: e.arg,
-            kind: SpanKind::Instant,
-        })
-        .collect();
-    chrome_trace_json(&rendered)
-}
-
 // ---------------------------------------------------------------------------
 // RTT decomposition
 // ---------------------------------------------------------------------------
@@ -1087,11 +1180,20 @@ pub fn decompose_requests(events: &[ExportEvent]) -> Vec<RttDecomp> {
 mod tests {
     use super::*;
 
-    // Sampling state is process-global; every test that needs it on must
-    // restore it, and only this module's tests may touch it (the harness
-    // runs tests concurrently in one process).
-    struct SamplingGuard;
-    impl Drop for SamplingGuard {
+    // Sampling and the rings are process-global and the harness runs
+    // tests concurrently in one process: a test that changes sampling
+    // holds the crate's ring-test lock and turns sampling off on drop.
+    struct Sampling {
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+    impl Sampling {
+        fn on(every: u32, seed: u64) -> Sampling {
+            let _lock = crate::ring_tests();
+            set_sampling(every, seed);
+            Sampling { _lock }
+        }
+    }
+    impl Drop for Sampling {
         fn drop(&mut self) {
             set_sampling(0, 0);
         }
@@ -1099,6 +1201,7 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_cheap() {
+        let _rings = crate::ring_tests();
         assert!(!active());
         assert_eq!(sample_request(), 0);
         assert_eq!(current(), 0);
@@ -1117,8 +1220,18 @@ mod tests {
 
     #[test]
     fn ring_roundtrip_and_wraparound() {
-        let ring = TraceRing::new();
         let site = intern("test.ring");
+        // Any write count up to two laps keeps exactly the newest
+        // min(writes, capacity) records, oldest first.
+        for writes in 0..20u64 {
+            let ring = TraceRing::new(8);
+            for i in 0..writes {
+                ring.push(i, 1, i + 1, site, SpanKind::Sync);
+            }
+            let t0s: Vec<u64> = ring.dump().iter().map(|s| s.t0).collect();
+            assert_eq!(t0s, (writes.saturating_sub(8)..writes).collect::<Vec<_>>());
+        }
+        let ring = TraceRing::new(RING_CAP);
         for i in 0..(RING_CAP as u64 + 10) {
             ring.push(i, 1, i + 1, site, SpanKind::Sync);
         }
@@ -1134,9 +1247,98 @@ mod tests {
 
     #[test]
     fn kind_codes_roundtrip() {
-        for k in [SpanKind::Sync, SpanKind::Async, SpanKind::Instant] {
+        let lock_kinds = (0..=u8::MAX)
+            .map_while(LockEvent::from_u8)
+            .map(SpanKind::Lock);
+        for k in [SpanKind::Sync, SpanKind::Async, SpanKind::Instant]
+            .into_iter()
+            .chain(lock_kinds)
+        {
             assert_eq!(SpanKind::from_code(k.code()), k);
         }
+    }
+
+    #[test]
+    fn interner_overflow_resolves_to_overflow_not_a_real_site() {
+        // Distinct pointers and contents: the suffixes of one literal.
+        const TEXT: &str =
+            "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ<>+-*/=!?^~";
+        let table = SiteTable::new();
+        for i in 0..MAX_SITES + 6 {
+            let site = &TEXT[i..];
+            let want = if i < OVERFLOW { site } else { "<overflow>" };
+            assert_eq!(table.name(table.intern(site)), want, "site #{i}");
+        }
+    }
+
+    #[test]
+    fn dump_racing_wraparound_never_splices_records() {
+        // Directed schedule for the checksum discipline: a dumper hammers
+        // a tiny ring while its writer wraps it continuously, so most
+        // reads race an overwrite. Every surviving record must be one the
+        // writer wrote — a splice of two writes must have been dropped.
+        const CAP: usize = 4;
+        #[cfg(miri)]
+        const WRITES: u64 = 300;
+        #[cfg(not(miri))]
+        const WRITES: u64 = 200_000;
+        let kind = SpanKind::Lock(LockEvent::Acquire);
+        let ring = TraceRing::new(CAP);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for seq in 0..WRITES {
+                    ring.push(seq, seq * 3 + 1, seq * 5 + 2, 7, kind);
+                }
+                done.store(true, Ordering::Release);
+            });
+            loop {
+                let last = done.load(Ordering::Acquire);
+                for r in ring.dump() {
+                    let seq = r.t0;
+                    assert!(seq < WRITES, "t0 {seq} was never written");
+                    assert_eq!(
+                        (r.dur, r.id, r.site, r.kind),
+                        (seq * 3 + 1, seq * 5 + 2, 7, kind),
+                        "spliced record"
+                    );
+                }
+                if last {
+                    break;
+                }
+            }
+        });
+        // Quiescent after the race: every slot holds a committed record.
+        assert_eq!(ring.dump().len(), CAP);
+    }
+
+    #[test]
+    fn lock_events_carry_the_scoped_trace_id_and_roundtrip() {
+        let _sampling = Sampling::on(1, 0);
+        reset_rings();
+        let l = crate::ObservedHemlock::default();
+        scoped(31, || {
+            use hemlock_core::raw::RawLock;
+            l.lock();
+            // SAFETY: acquired just above on this thread.
+            unsafe { l.unlock() };
+        });
+        let events = export_events();
+        let mine: Vec<ExportEvent> = events
+            .iter()
+            .filter(|e| e.trace_id == 31)
+            .cloned()
+            .collect();
+        let got: Vec<(&str, SpanKind)> = mine.iter().map(|e| (e.name.as_str(), e.kind)).collect();
+        let lock = |e| ("Hemlock(obs)", SpanKind::Lock(e));
+        assert_eq!(got, [lock(LockEvent::Acquire), lock(LockEvent::Release)]);
+        assert!(check_well_formed(&events).is_empty());
+        let doc = chrome_trace_json(&events);
+        assert!(doc.contains("\"name\":\"Hemlock(obs):acquire\",\"cat\":\"lock\""));
+        let parsed = parse_chrome_json(&doc);
+        let back: Vec<ExportEvent> = parsed.into_iter().filter(|e| e.trace_id == 31).collect();
+        assert_eq!(back, mine, "lock events survive the JSON unchanged");
+        reset_rings();
     }
 
     #[test]
@@ -1177,6 +1379,15 @@ mod tests {
                 dur_ns: 0,
                 trace_id: 42,
                 kind: SpanKind::Instant,
+            },
+            ExportEvent {
+                name: "Hemlock(obs)".into(),
+                track: "pool#1".into(),
+                tid: 1,
+                t0_ns: 3_500,
+                dur_ns: 2,
+                trace_id: 42,
+                kind: SpanKind::Lock(LockEvent::Acquire),
             },
         ];
         let doc = chrome_trace_json(&events);
@@ -1226,8 +1437,7 @@ mod tests {
 
     #[test]
     fn sampling_selects_one_in_n_deterministically() {
-        let _guard = SamplingGuard;
-        set_sampling(4, 7);
+        let _sampling = Sampling::on(4, 7);
         REQ_SEQ.store(0, Ordering::Relaxed);
         let picks: Vec<u64> = (0..16).map(|_| sample_request()).collect();
         let sampled: Vec<u64> = picks.iter().copied().filter(|&p| p != 0).collect();
@@ -1242,8 +1452,7 @@ mod tests {
 
     #[test]
     fn spans_record_into_the_thread_ring() {
-        let _guard = SamplingGuard;
-        set_sampling(1, 0);
+        let _sampling = Sampling::on(1, 0);
         reset_rings();
         {
             let _outer = SyncSpan::start(99, "test.outer");
@@ -1280,8 +1489,7 @@ mod tests {
 
     #[test]
     fn scoped_restores_previous_id() {
-        let _guard = SamplingGuard;
-        set_sampling(1, 0);
+        let _sampling = Sampling::on(1, 0);
         assert_eq!(current(), 0);
         scoped(5, || {
             assert_eq!(current(), 5);
@@ -1294,8 +1502,7 @@ mod tests {
     #[test]
     fn traced_future_sets_context_and_emits_suspend() {
         use core::future::poll_fn;
-        let _guard = SamplingGuard;
-        set_sampling(1, 0);
+        let _sampling = Sampling::on(1, 0);
         reset_rings();
         let mut polls = 0;
         let fut = traced(
@@ -1324,8 +1531,7 @@ mod tests {
 
     #[test]
     fn dropped_async_span_still_records() {
-        let _guard = SamplingGuard;
-        set_sampling(1, 0);
+        let _sampling = Sampling::on(1, 0);
         reset_rings();
         let fut = traced(88, async {
             let _hold = AsyncSpan::start(current(), "test.cancelled_hold");

@@ -52,7 +52,6 @@ impl HemlockFlavor {
 /// Hemlock machine configuration.
 #[derive(Clone, Debug)]
 pub struct HemlockSim {
-    threads: usize,
     locks: usize,
     flavor: HemlockFlavor,
     tail_base: Loc,  // 1 word per lock
@@ -69,7 +68,6 @@ impl HemlockSim {
         let grant_base = plan.alloc(threads);
         let common = CommonWords::plan(&mut plan, threads, locks);
         Self {
-            threads,
             locks,
             flavor,
             tail_base,
@@ -98,12 +96,6 @@ impl HemlockSim {
     /// Thread `tid`'s Grant word — doubles as the thread's identity.
     pub fn grant(&self, tid: usize) -> Loc {
         self.grant_base + tid
-    }
-
-    /// Inverse of [`Self::grant`], for census reporting.
-    pub fn grant_owner(&self, loc: Loc) -> Option<usize> {
-        (loc >= self.grant_base && loc < self.grant_base + self.threads)
-            .then(|| loc - self.grant_base)
     }
 
     fn spin_poll(&self, pred: Loc, l_pub: Val) -> AlgoStep {
