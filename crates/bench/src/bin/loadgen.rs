@@ -17,16 +17,14 @@
 //! latency lands in the log-bucketed histogram; the report is
 //! throughput plus **p50/p99/p999**.
 //!
-//! The in-process server runs with **combined burst dispatch** by
-//! default — each decoded pipeline burst becomes one
+//! The server dispatches each decoded pipeline burst as one
 //! `AsyncKv::apply_batch_async` call through the store's flat-combining
-//! layer; `--combine off` measures the per-op dispatch baseline instead.
+//! layer.
 //!
 //! Output: aligned table (default), or `--json` normalized
 //! bench-trajectory records (`bench: "loadgen.c<conns>.p<pipeline>"`,
-//! `.combined`-suffixed in combined mode, with `p50_ns`/`p99_ns`/
-//! `p999_ns` extras `bench_ci --loadgen` ignores). Banners go to stderr,
-//! stdout stays machine-readable.
+//! with `p50_ns`/`p99_ns`/`p999_ns` extras `bench_ci --loadgen`
+//! ignores). Banners go to stderr, stdout stays machine-readable.
 //!
 //! Client RTT alone conflates queueing delay with service time, so
 //! before shutdown loadgen also pulls the server-side view over the
@@ -55,7 +53,7 @@ use hemlock_harness::executor::TaskPool;
 use hemlock_harness::{fmt_f64, Histogram, Mt19937, Reactor, Spec, Table, Zipf};
 use hemlock_locks::catalog::{self, CatalogEntry, TimedLockVisitor, View};
 use hemlock_minikv::{AsyncKv, Db, Options};
-use hemlock_net::{spawn_server_with, AsyncConn, Client, Op, ServerHandle, ServerOptions};
+use hemlock_net::{spawn_server, AsyncConn, Client, Op, ServerHandle};
 use hemlock_obs::{trace, Pcts, Snapshot};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -203,14 +201,13 @@ fn run_once(addr: SocketAddr, w: Workload) -> std::io::Result<RunStats> {
 /// dispatches to.
 struct SpawnInProc {
     pool: Arc<TaskPool>,
-    opts: ServerOptions,
 }
 
 impl TimedLockVisitor for SpawnInProc {
     type Output = std::io::Result<ServerHandle>;
     fn visit<L: RawTryLock + 'static>(self, _entry: &'static CatalogEntry) -> Self::Output {
         let kv: Arc<dyn AsyncKv> = Arc::new(Db::<L>::new(Options::default())).into_async_kv();
-        spawn_server_with(&self.pool, kv, "127.0.0.1:0".parse().unwrap(), self.opts)
+        spawn_server(&self.pool, kv, "127.0.0.1:0".parse().unwrap())
     }
 }
 
@@ -301,7 +298,6 @@ impl TraceReport {
 struct Report {
     lock: String,
     workers: usize,
-    combined: bool,
     w: Workload,
     ops_per_sec: f64,
     pcts: Pcts,
@@ -310,12 +306,10 @@ struct Report {
 }
 
 /// One bench-trajectory record through the shared [`RecordBuilder`]:
-/// combined-mode runs get the `.combined` bench-key suffix, and the
-/// client RTT + server service-time percentiles ride as
+/// the client RTT + server service-time percentiles ride as
 /// schema-invisible extras.
 fn to_json(r: &Report) -> String {
     let mut b = RecordBuilder::new(format!("loadgen.c{}.p{}", r.w.conns, r.w.pipeline), &r.lock)
-        .combined(r.combined)
         .threads(r.workers)
         .ops_per_sec(r.ops_per_sec)
         .extra("p50_ns", r.pcts.p50 as f64)
@@ -378,12 +372,6 @@ fn main() {
         "open-loop target ops/s across all connections (default: closed loop)",
     )
     .value(
-        "combine",
-        "on|off (default on): in-process server dispatches each pipeline \
-         burst as one flat-combined batch; `on` adds a `.combined` \
-         bench-key suffix (with --addr it only labels the record)",
-    )
-    .value(
         "obs",
         "on|off (default on): observability collection in this process \
          (client + in-process server); `off` measures the disabled fast \
@@ -427,14 +415,6 @@ fn main() {
     // Validate the Zipf parameters up front with the CLI-shaped error.
     or_exit(Zipf::new(w.keys, w.theta).map(|_| ()));
     let runs: usize = args.get("runs", 1usize).max(1);
-    let combine = match args.get_str("combine", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            eprintln!("error: --combine must be `on` or `off`, got {other:?}");
-            std::process::exit(2);
-        }
-    };
     match args.get_str("obs", "on").as_str() {
         "on" => hemlock_obs::init(),
         "off" => hemlock_obs::set_enabled(false),
@@ -464,7 +444,6 @@ fn main() {
                     entry,
                     SpawnInProc {
                         pool: Arc::clone(&server_pool),
-                        opts: ServerOptions { combine },
                     },
                 )
                 .expect("async entries are trylock-capable")
@@ -481,12 +460,11 @@ fn main() {
     };
 
     eprintln!(
-        "# loadgen: {} conns x {} pipeline -> {} ({}, {} dispatch), {} run(s) x {:?}, {} keys zipf {}, {}% reads",
+        "# loadgen: {} conns x {} pipeline -> {} ({}), {} run(s) x {:?}, {} keys zipf {}, {}% reads",
         w.conns,
         w.pipeline,
         addr,
         lock_name,
-        if combine { "combined" } else { "per-op" },
         runs,
         w.duration,
         w.keys,
@@ -578,7 +556,6 @@ fn main() {
     let report = Report {
         lock: lock_name,
         workers: w.workers,
-        combined: combine,
         w,
         ops_per_sec: median.ops as f64 / median.elapsed.as_secs_f64(),
         pcts: median.latency.pcts(),

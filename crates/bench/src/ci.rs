@@ -57,13 +57,13 @@ impl Record {
 /// ```
 /// use hemlock_bench::ci::{self, RecordBuilder};
 ///
-/// let rec = RecordBuilder::new("loadgen.c8.p4", "Hemlock")
-///     .combined(true) // -> bench key "loadgen.c8.p4.combined"
+/// let rec = RecordBuilder::new("shardkv.s64", "Hemlock")
+///     .combined(true) // -> bench key "shardkv.s64.combined"
 ///     .threads(4)
 ///     .ops_per_sec(1.5e5)
 ///     .extra("p99_ns", 120_000.0)
 ///     .build();
-/// assert_eq!(rec.bench, "loadgen.c8.p4.combined");
+/// assert_eq!(rec.bench, "shardkv.s64.combined");
 /// assert!(ci::to_json(&[rec]).contains("\"p99_ns\": 120000"));
 /// ```
 #[derive(Clone, Debug)]

@@ -17,11 +17,11 @@
 //!   entry) point reads of a hot shard and concurrent run snapshots are
 //!   admitted together, so the read-mostly workload no longer serializes;
 //!   exclusive-only algorithms degrade to the previous behaviour.
-//! - `try_get` / `try_put` / `try_delete`: **bounded-wait** variants that
-//!   return [`WouldBlock`] instead of stalling when a shard lock or the
-//!   central mutex stays busy past the caller's timeout (a freeze or
-//!   compaction in progress); `try_put` additionally defers a tripped
-//!   freeze when the central mutex is busy rather than waiting behind it.
+//! - `apply_batch` / `apply_batch_async`: a positional batch of
+//!   [`KvOp`]s, one flat-combined pass over the memtable shards (taken
+//!   exclusively), one run snapshot for every miss, one freeze check. The
+//!   async form is the only way a task reaches the store: [`AsyncKv`]'s
+//!   point methods send it one-op batches.
 //! - freeze/compaction: the central mutex for the whole transition. The
 //!   memtable drains one shard at a time *while the central mutex is
 //!   held*; a reader that misses a just-drained shard must acquire the
@@ -42,22 +42,7 @@ use hemlock_core::raw::{RawLock, RawTryLock};
 use hemlock_core::wakerset::WakerSet;
 use hemlock_shard::TableStats;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// A bounded-wait operation gave up: the lock it needed (a memtable shard
-/// or the central run-list mutex) stayed busy — typically behind a freeze
-/// or compaction — past the caller's timeout. Nothing was read or written;
-/// retry, back off, or fall back to the blocking API.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WouldBlock;
-
-impl core::fmt::Display for WouldBlock {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("operation would block past its timeout")
-    }
-}
-
-impl std::error::Error for WouldBlock {}
+use std::time::Instant;
 
 /// The workspace metrics registry, when collection is enabled — `None`
 /// reduces every `minikv.*` hook below to one untaken branch.
@@ -131,7 +116,7 @@ pub struct Db<L: RawLock> {
     mem: Memtable<L>,
     /// Parked asynchronous waiters of the central mutex. Every guard
     /// release notifies (register → re-try → park on the waiter side), so
-    /// an `*_async` operation can await a freeze or compaction without a
+    /// `apply_batch_async` can await a freeze or compaction without a
     /// lost wakeup — see [`hemlock_core::wakerset::WakerSet`].
     mu_wakers: WakerSet,
     stats: DbStats,
@@ -191,7 +176,7 @@ impl<L: RawLock> Drop for DbGuard<'_, L> {
         // Safety: this guard acquired the lock on this thread.
         unsafe { self.db.mu.unlock() };
         // Release-then-notify: async waiters of the central mutex (e.g. a
-        // `get_async` behind this freeze) are woken only after the unlock
+        // batch awaiting its run snapshot) are woken only after the unlock
         // is visible, so their re-try cannot miss it.
         self.db.mu_wakers.notify_all();
     }
@@ -231,24 +216,6 @@ impl<'a, L: RawLock> DbReadGuard<'a, L> {
         L: RawTryLock,
     {
         db.mu.try_read_lock().then(|| {
-            if let Some(reg) = obs() {
-                reg.minikv_acquires.inc();
-            }
-            Self {
-                db,
-                _not_send: core::marker::PhantomData,
-            }
-        })
-    }
-
-    /// Timed constructor: `None` once `deadline` passes (the waiter has
-    /// withdrawn; with an RW-capable abortable `L` it genuinely leaves the
-    /// read indicator).
-    fn try_lock_until(db: &'a Db<L>, deadline: Instant) -> Option<Self>
-    where
-        L: RawTryLock,
-    {
-        db.mu.try_read_lock_until(deadline).then(|| {
             if let Some(reg) = obs() {
                 reg.minikv_acquires.inc();
             }
@@ -424,115 +391,6 @@ impl<L: RawLock> Db<L> {
         result
     }
 
-    /// Bounded-wait [`Db::get`]: [`WouldBlock`] when either lock on the
-    /// read path (the owning memtable shard, then the central run-list
-    /// mutex) stays busy past `timeout` — typically because a freeze or
-    /// compaction holds the central mutex. Nothing is retried internally;
-    /// the caller owns the back-off policy. The bound is only a *bound*
-    /// when `L` advertises [`abortable`](hemlock_core::LockMeta); on a
-    /// trylock-only algorithm the timed waits degrade to bounded retries.
-    pub fn try_get(&self, key: &[u8], timeout: Duration) -> Result<Option<Vec<u8>>, WouldBlock>
-    where
-        L: RawTryLock,
-    {
-        let deadline = Instant::now() + timeout;
-        let t0 = obs().map(|_| Instant::now());
-        // Tier 1 (same probe order as `get`, for the same visibility
-        // argument): the memtable under a bounded shard acquisition.
-        let tier1 = self.mem.try_get_vec(key, timeout).inspect_err(|_| {
-            if let Some(reg) = obs() {
-                reg.minikv_stalls.inc();
-            }
-        })?;
-        if let Some(value) = tier1 {
-            self.stats.gets.fetch_add(1, Ordering::Relaxed);
-            if let (Some(reg), Some(t0)) = (obs(), t0) {
-                reg.minikv_gets.inc();
-                reg.minikv_get_ns.record(elapsed_ns(t0));
-            }
-            return Ok(value);
-        }
-        // Tier 2: a bounded read-mode snapshot of the run handles. A
-        // compaction holding the central mutex makes this return
-        // WouldBlock instead of stalling the reader behind it.
-        let snapshot: Vec<Arc<Run>> = match DbReadGuard::try_lock_until(self, deadline) {
-            Some(g) => g.runs().clone(),
-            None => {
-                if let Some(reg) = obs() {
-                    reg.minikv_stalls.inc();
-                }
-                return Err(WouldBlock);
-            }
-        };
-        let mut result = None;
-        for run in &snapshot {
-            if let Some(slot) = run.get(key) {
-                result = slot.as_ref().map(|v| v.to_vec());
-                break;
-            }
-        }
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        if let (Some(reg), Some(t0)) = (obs(), t0) {
-            reg.minikv_gets.inc();
-            reg.minikv_get_ns.record(elapsed_ns(t0));
-        }
-        Ok(result)
-    }
-
-    /// Bounded-wait [`Db::put`]: [`WouldBlock`] when the owning memtable
-    /// shard stays busy past `timeout` (nothing is written). When the
-    /// write lands and trips the freeze budget, the freeze itself is
-    /// **opportunistic**: it runs only if the central mutex is free right
-    /// now, so a `try_put` never stalls behind a running compaction — a
-    /// deferred freeze is picked up by the next writer (timed or blocking)
-    /// to see the budget tripped.
-    pub fn try_put(&self, key: &[u8], value: &[u8], timeout: Duration) -> Result<(), WouldBlock>
-    where
-        L: RawTryLock,
-    {
-        self.try_write_slot(key, Some(value.into()), timeout)
-    }
-
-    /// Bounded-wait [`Db::delete`] (tombstone write), with [`Db::try_put`]
-    /// semantics.
-    pub fn try_delete(&self, key: &[u8], timeout: Duration) -> Result<(), WouldBlock>
-    where
-        L: RawTryLock,
-    {
-        self.try_write_slot(key, None, timeout)
-    }
-
-    fn try_write_slot(&self, key: &[u8], value: Slot, timeout: Duration) -> Result<(), WouldBlock>
-    where
-        L: RawTryLock,
-    {
-        let t0 = obs().map(|_| Instant::now());
-        let deleting = value.is_none();
-        if !self.mem.try_insert(key, value, timeout) {
-            if let Some(reg) = obs() {
-                reg.minikv_stalls.inc();
-            }
-            return Err(WouldBlock);
-        }
-        if self.mem.approximate_bytes() >= self.opts.memtable_bytes {
-            // Opportunistic freeze: skip (deferring to a later writer)
-            // rather than block behind whoever holds the central mutex.
-            if let Some(mut g) = DbGuard::try_lock(self) {
-                self.freeze_locked(&mut g);
-            }
-        }
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-        if let (Some(reg), Some(t0)) = (obs(), t0) {
-            if deleting {
-                reg.minikv_deletes.inc();
-            } else {
-                reg.minikv_puts.inc();
-            }
-            reg.minikv_put_ns.record(elapsed_ns(t0));
-        }
-        Ok(())
-    }
-
     /// Awaits an exclusive central-mutex acquisition: the fast path is one
     /// trylock; a busy mutex (freeze, compaction, another structural
     /// transition) parks the task in the central [`WakerSet`] until a
@@ -572,92 +430,6 @@ impl<L: RawLock> Db<L> {
             }
         })
         .await
-    }
-
-    /// Asynchronous [`Db::get`]: the same two-tier probe, but a busy lock
-    /// anywhere on the path — the owning memtable shard, or the central
-    /// mutex held by a freeze/compaction — suspends the *task* instead of
-    /// stalling a thread or bailing out with [`WouldBlock`]. No guard ever
-    /// lives across a suspension point, so the returned future is `Send`
-    /// and cancel-safe.
-    pub async fn get_async(&self, key: &[u8]) -> Option<Vec<u8>>
-    where
-        L: RawTryLock,
-    {
-        // Tier 1: the memtable, awaiting the owning shard in read mode.
-        // Probe order matters exactly as in `get`: a freeze migrates keys
-        // memtable→runs while holding the central mutex, so a tier-1 miss
-        // always finds the key in the tier-2 snapshot awaited afterwards.
-        if let Some(value) = self.mem.get_vec_async(key).await {
-            self.stats.gets.fetch_add(1, Ordering::Relaxed);
-            if let Some(reg) = obs() {
-                reg.minikv_gets.inc();
-            }
-            return value;
-        }
-        // Tier 2: await a read-mode snapshot of the run handles — this is
-        // the wait that used to be `WouldBlock`: a compaction holding the
-        // central mutex now parks this task and wakes it on release.
-        let snapshot: Vec<Arc<Run>> = {
-            let g = self.central_read_async().await;
-            g.runs().clone()
-        };
-        let mut result = None;
-        for run in &snapshot {
-            if let Some(slot) = run.get(key) {
-                result = slot.as_ref().map(|v| v.to_vec());
-                break;
-            }
-        }
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        if let Some(reg) = obs() {
-            reg.minikv_gets.inc();
-        }
-        result
-    }
-
-    /// Asynchronous [`Db::put`]: awaits the owning memtable shard, and —
-    /// unlike [`Db::try_put`], which *defers* a tripped freeze — **awaits
-    /// the freeze/compaction** when the write trips the byte budget,
-    /// parking the task until the central mutex is free and then running
-    /// the structural transition itself.
-    pub async fn put_async(&self, key: &[u8], value: &[u8])
-    where
-        L: RawTryLock,
-    {
-        self.write_slot_async(key, Some(value.into())).await;
-    }
-
-    /// Asynchronous [`Db::delete`] (tombstone write), with [`Db::put_async`]
-    /// semantics.
-    pub async fn delete_async(&self, key: &[u8])
-    where
-        L: RawTryLock,
-    {
-        self.write_slot_async(key, None).await;
-    }
-
-    async fn write_slot_async(&self, key: &[u8], value: Slot)
-    where
-        L: RawTryLock,
-    {
-        if let Some(reg) = obs() {
-            if value.is_none() {
-                reg.minikv_deletes.inc();
-            } else {
-                reg.minikv_puts.inc();
-            }
-        }
-        self.mem.insert_async(key, value).await;
-        if self.mem.approximate_bytes() >= self.opts.memtable_bytes {
-            // Await the central mutex instead of skipping (try_put) or
-            // blocking a thread (put): the freeze runs as soon as whatever
-            // holds the mutex releases it. The guard is created and
-            // dropped between suspension points, on one thread.
-            let mut g = self.central_lock_async().await;
-            self.freeze_locked(&mut g);
-        }
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds the memtable tier's batch answers into positional
@@ -843,23 +615,32 @@ pub type BoxKvFuture<'a, T> = core::pin::Pin<Box<dyn core::future::Future<Output
 /// the lock at runtime (`kvserver --lock async.hemlock`) cannot name `L`
 /// in its types. This trait erases it: every `Db<L>` whose lock can back
 /// the async paths ([`hemlock_core::RawTryLock`]) is an `AsyncKv`, and the
-/// server dispatches wire ops through `Arc<dyn AsyncKv>`. The methods
-/// mirror `Db::{get,put,delete}_async` exactly — a busy shard or a
-/// freeze/compaction holding the central mutex suspends the calling task,
-/// never an OS thread, which is what makes task-per-connection serving
-/// safe on a small `TaskPool`.
+/// server dispatches each decoded burst through `Arc<dyn AsyncKv>`. Every
+/// method reaches the store through [`AsyncKv::apply_batch_async`], where
+/// a busy shard or a freeze/compaction holding the central mutex suspends
+/// the calling task, never an OS thread, which is what makes
+/// task-per-connection serving safe on a small `TaskPool`.
 pub trait AsyncKv: Send + Sync {
-    /// Asynchronous point lookup ([`Db::get_async`]).
-    fn get_async<'a>(&'a self, key: &'a [u8]) -> BoxKvFuture<'a, Option<Vec<u8>>>;
-    /// Asynchronous insert/overwrite ([`Db::put_async`]).
-    fn put_async<'a>(&'a self, key: &'a [u8], value: &'a [u8]) -> BoxKvFuture<'a, ()>;
-    /// Asynchronous delete ([`Db::delete_async`]).
-    fn delete_async<'a>(&'a self, key: &'a [u8]) -> BoxKvFuture<'a, ()>;
+    /// Asynchronous point lookup: a one-op batch.
+    fn get_async<'a>(&'a self, key: &'a [u8]) -> BoxKvFuture<'a, Option<Vec<u8>>> {
+        Box::pin(async move { one_op(self, KvOp::Get(key.to_vec())).await.into_value() })
+    }
+    /// Asynchronous insert/overwrite: a one-op batch.
+    fn put_async<'a>(&'a self, key: &'a [u8], value: &'a [u8]) -> BoxKvFuture<'a, ()> {
+        Box::pin(async move {
+            one_op(self, KvOp::Put(key.to_vec(), value.to_vec())).await;
+        })
+    }
+    /// Asynchronous delete: a one-op batch.
+    fn delete_async<'a>(&'a self, key: &'a [u8]) -> BoxKvFuture<'a, ()> {
+        Box::pin(async move {
+            one_op(self, KvOp::Delete(key.to_vec())).await;
+        })
+    }
     /// Applies a positional batch in one pass ([`Db::apply_batch_async`]):
     /// one shard acquisition per shard touched (flat-combined under
     /// contention), one run snapshot for all tier-1 misses, one freeze
-    /// check. The server feeds each decoded pipeline burst here as a unit
-    /// instead of spawning per-op futures.
+    /// check. The server feeds each decoded pipeline burst here as a unit.
     fn apply_batch_async<'a>(&'a self, ops: &'a [KvOp]) -> BoxKvFuture<'a, Vec<KvResult>>;
     /// Completed-operation counters (shared with the sync paths).
     fn stats(&self) -> &DbStats;
@@ -867,22 +648,18 @@ pub trait AsyncKv: Send + Sync {
     fn lock_name(&self) -> &'static str;
 }
 
+/// Sends `op` to `kv` as a one-op batch and returns its answer.
+async fn one_op<K: AsyncKv + ?Sized>(kv: &K, op: KvOp) -> KvResult {
+    kv.apply_batch_async(&[op])
+        .await
+        .pop()
+        .expect("a batch answers each of its ops")
+}
+
 impl<L: RawTryLock> AsyncKv for Db<L> {
-    fn get_async<'a>(&'a self, key: &'a [u8]) -> BoxKvFuture<'a, Option<Vec<u8>>> {
-        // Inherent methods win resolution, so these call the concrete
-        // `Db` futures, not this trait recursively.
-        Box::pin(self.get_async(key))
-    }
-
-    fn put_async<'a>(&'a self, key: &'a [u8], value: &'a [u8]) -> BoxKvFuture<'a, ()> {
-        Box::pin(self.put_async(key, value))
-    }
-
-    fn delete_async<'a>(&'a self, key: &'a [u8]) -> BoxKvFuture<'a, ()> {
-        Box::pin(self.delete_async(key))
-    }
-
     fn apply_batch_async<'a>(&'a self, ops: &'a [KvOp]) -> BoxKvFuture<'a, Vec<KvResult>> {
+        // Inherent methods win resolution, so this calls the concrete
+        // `Db` future, not this trait recursively.
         Box::pin(self.apply_batch_async(ops))
     }
 
@@ -923,6 +700,59 @@ mod tests {
         assert_eq!(db.get(b"k"), None);
         assert_eq!(AsyncKv::stats(&*kv).puts.load(Ordering::Relaxed), 2);
         assert_eq!(AsyncKv::lock_name(&*kv), db.lock_name());
+    }
+
+    /// An `AsyncKv` that defines only the required methods and records
+    /// every batch it receives; a get of `missing` misses, any other get
+    /// answers its key with `!` appended.
+    #[derive(Default)]
+    struct BatchLog {
+        batches: std::sync::Mutex<Vec<Vec<KvOp>>>,
+        stats: DbStats,
+    }
+
+    impl AsyncKv for BatchLog {
+        fn apply_batch_async<'a>(&'a self, ops: &'a [KvOp]) -> BoxKvFuture<'a, Vec<KvResult>> {
+            self.batches.lock().unwrap().push(ops.to_vec());
+            let out = ops
+                .iter()
+                .map(|op| match op {
+                    KvOp::Get(k) if k == b"missing" => KvResult::Value(None),
+                    KvOp::Get(k) => KvResult::Value(Some([k.as_slice(), b"!"].concat())),
+                    KvOp::Put(..) | KvOp::Delete(_) => KvResult::Done,
+                })
+                .collect();
+            Box::pin(async move { out })
+        }
+
+        fn stats(&self) -> &DbStats {
+            &self.stats
+        }
+
+        fn lock_name(&self) -> &'static str {
+            "batch-log"
+        }
+    }
+
+    #[test]
+    fn provided_point_methods_send_one_op_batches() {
+        let log = BatchLog::default();
+        let kv: &dyn AsyncKv = &log;
+        hemlock_harness::executor::block_on(async {
+            assert_eq!(kv.get_async(b"k").await, Some(b"k!".to_vec()));
+            assert_eq!(kv.get_async(b"missing").await, None);
+            kv.put_async(b"k", b"v").await;
+            kv.delete_async(b"k").await;
+        });
+        assert_eq!(
+            *log.batches.lock().unwrap(),
+            vec![
+                vec![KvOp::Get(b"k".to_vec())],
+                vec![KvOp::Get(b"missing".to_vec())],
+                vec![KvOp::Put(b"k".to_vec(), b"v".to_vec())],
+                vec![KvOp::Delete(b"k".to_vec())],
+            ]
+        );
     }
 
     #[test]
@@ -1169,115 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn try_get_and_try_put_roundtrip_when_uncontended() {
-        let db: Db<Hemlock> = Db::new(tiny_opts());
-        let t = Duration::from_millis(20);
-        db.try_put(b"a", b"1", t).unwrap();
-        assert_eq!(db.try_get(b"a", t).unwrap(), Some(b"1".to_vec()));
-        db.try_delete(b"a", t).unwrap();
-        assert_eq!(db.try_get(b"a", t).unwrap(), None);
-        assert_eq!(db.try_get(b"missing", t).unwrap(), None);
-        // The timed paths share the blocking paths' stats.
-        assert_eq!(db.stats().puts.load(Ordering::Relaxed), 2);
-        assert_eq!(db.stats().gets.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn timed_writes_survive_freezes_and_stay_visible() {
-        let db: Db<Hemlock> = Db::new(tiny_opts());
-        let t = Duration::from_millis(50);
-        for i in 0..300u32 {
-            db.try_put(format!("key{i:05}").as_bytes(), &i.to_be_bytes(), t)
-                .unwrap();
-        }
-        // Opportunistic freezes still happen on the uncontended path.
-        assert!(db.run_count() > 0, "timed puts must still freeze");
-        for i in (0..300u32).step_by(17) {
-            assert_eq!(
-                db.try_get(format!("key{i:05}").as_bytes(), t).unwrap(),
-                Some(i.to_be_bytes().to_vec())
-            );
-        }
-    }
-
-    #[test]
-    fn try_get_would_block_behind_a_held_central_mutex() {
-        let db: Arc<Db<Hemlock>> = Arc::new(Db::new(tiny_opts()));
-        for i in 0..300u32 {
-            db.put(format!("key{i:05}").as_bytes(), &i.to_be_bytes());
-        }
-        assert!(db.run_count() > 0, "need runs so misses hit tier 2");
-        // Hold the central mutex, standing in for a long compaction.
-        db.mu.lock();
-        let blocked = {
-            let db = Arc::clone(&db);
-            std::thread::spawn(move || {
-                let t0 = std::time::Instant::now();
-                // A key that misses the memtable must consult the run
-                // list — and give up within bound instead of stalling.
-                let r = db.try_get(b"key00000-missing", Duration::from_millis(15));
-                (r, t0.elapsed())
-            })
-        };
-        let (r, waited) = blocked.join().unwrap();
-        assert_eq!(r, Err(WouldBlock));
-        assert!(waited >= Duration::from_millis(15));
-        assert!(
-            waited < Duration::from_secs(5),
-            "must be bounded, not stalled"
-        );
-        // Safety: held by this thread since the lock() above.
-        unsafe { db.mu.unlock() };
-        // After the "compaction" ends, the same read succeeds.
-        assert_eq!(
-            db.try_get(b"key00000-missing", Duration::from_millis(50))
-                .unwrap(),
-            None
-        );
-    }
-
-    #[test]
-    fn try_put_defers_the_freeze_instead_of_stalling_behind_the_central_mutex() {
-        let db: Arc<Db<Hemlock>> = Arc::new(Db::new(tiny_opts()));
-        // Hold the central mutex, standing in for a long compaction.
-        db.mu.lock();
-        let writer = {
-            let db = Arc::clone(&db);
-            std::thread::spawn(move || {
-                let t0 = std::time::Instant::now();
-                // Far past the 512-byte budget: every one of these trips
-                // the freeze check, which must be *skipped*, not waited on.
-                for i in 0..200u32 {
-                    db.try_put(
-                        format!("key{i:05}").as_bytes(),
-                        &[0u8; 32],
-                        Duration::from_millis(50),
-                    )
-                    .unwrap();
-                }
-                t0.elapsed()
-            })
-        };
-        let elapsed = writer.join().unwrap();
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "timed puts stalled behind the central mutex: {elapsed:?}"
-        );
-        // Safety: this thread holds `mu`, so reading the run list is safe.
-        let runs_while_held = unsafe { &*db.runs.get() }.len();
-        assert_eq!(runs_while_held, 0, "freeze must have been deferred");
-        // Safety: held by this thread since the lock() above.
-        unsafe { db.mu.unlock() };
-        // The deferred freeze is picked up by the next writer to trip the
-        // budget now that the central mutex is free.
-        db.put(b"one-more", &[0u8; 32]);
-        assert!(db.run_count() > 0, "deferred freeze must eventually run");
-        for i in (0..200u32).step_by(23) {
-            assert!(db.get(format!("key{i:05}").as_bytes()).is_some());
-        }
-    }
-
-    #[test]
     fn async_ops_roundtrip_and_are_send() {
         use hemlock_harness::executor::block_on;
         fn assert_send<T: Send>(t: T) -> T {
@@ -1301,7 +1022,7 @@ mod tests {
         let db: Db<Hemlock> = Db::new(tiny_opts());
         block_on(async {
             // Far past the 512-byte budget: the tripped freezes must RUN
-            // (awaited), not be deferred as try_put does.
+            // (awaited), not be deferred.
             for i in 0..100u32 {
                 db.put_async(format!("key{i:05}").as_bytes(), &[0u8; 32])
                     .await;
@@ -1337,7 +1058,7 @@ mod tests {
                 db.get_async(b"key00000-missing").await
             })
         };
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(std::time::Duration::from_millis(30));
         assert!(!h.is_finished(), "get_async must wait for the mutex");
         // Safety: held by this thread since the lock() above.
         unsafe { db.mu.unlock() };

@@ -35,7 +35,7 @@ pub mod op;
 pub mod run;
 
 pub use bench::{fill_seq, key_for, read_random, value_for, ReadBenchResult};
-pub use db::{AsyncKv, BoxKvFuture, Db, DbStats, Options, WouldBlock};
+pub use db::{AsyncKv, BoxKvFuture, Db, DbStats, Options};
 pub use memtable::Memtable;
 pub use op::{KvOp, KvResult};
 pub use run::Run;

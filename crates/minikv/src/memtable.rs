@@ -10,7 +10,9 @@
 //! (freeze, compaction, run-list snapshots; see [`crate::db`]). Point
 //! *reads* ([`Memtable::get`], [`Memtable::get_vec`]) take their shard in
 //! read mode, so an RW-capable lock algorithm lets readers of the same hot
-//! shard proceed together.
+//! shard proceed together. Batches ([`Memtable::apply_batch`] and its
+//! async form, the path every async caller takes) go through the table's
+//! flat-combining layer and take each shard they touch exclusively.
 //!
 //! The shard locks use the same algorithm `L` as the database's central
 //! mutex, so a benchmark that swaps `--lock` swaps *every* lock in the
@@ -22,7 +24,6 @@ use core::sync::atomic::{AtomicIsize, Ordering};
 use hemlock_core::hemlock::Hemlock;
 use hemlock_core::raw::{RawLock, RawTryLock};
 use hemlock_shard::{ShardedTable, TableOp, TableResult, TableStats};
-use std::time::Duration;
 
 /// A value or a deletion marker.
 pub type Slot = Option<Box<[u8]>>;
@@ -37,7 +38,7 @@ fn entry_bytes(key: &[u8], slot: &Slot) -> isize {
 
 /// Byte-budget delta of writing a `new_len`-byte slot over `old` (the
 /// displaced slot, `None` for a fresh key). The single accounting formula
-/// both `insert` and `try_insert` charge, so the two write paths cannot
+/// both `insert` and the batch path charge, so the two write paths cannot
 /// drift apart.
 fn insert_delta(key: &[u8], new_len: usize, old: Option<&Slot>) -> isize {
     match old {
@@ -113,76 +114,6 @@ impl<L: RawLock> Memtable<L> {
     /// Number of entries (including tombstones).
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Bounded-wait [`Memtable::insert`]: gives up (writing nothing) when
-    /// the owning shard's lock stays busy past `timeout`. Returns whether
-    /// the write landed. Requires a trylock-capable `L`; the bound is only
-    /// a *bound* when `L` also advertises
-    /// [`abortable`](hemlock_core::LockMeta).
-    pub fn try_insert(&self, key: &[u8], value: Slot, timeout: Duration) -> bool
-    where
-        L: RawTryLock,
-    {
-        let vlen = value.as_ref().map_or(0, |v| v.len());
-        let Some(mut g) = self.map.try_guard_for(key, timeout) else {
-            return false;
-        };
-        let old = g.insert(key.into(), value);
-        let delta = insert_delta(key, vlen, old.as_ref());
-        // Inside the shard critical section, exactly as `insert` (the
-        // guard is still live), so a racing drain can never double-count.
-        self.approx_bytes.fetch_add(delta, Ordering::Relaxed);
-        true
-    }
-
-    /// Bounded-wait [`Memtable::get_vec`]: [`WouldBlock`](crate::db::WouldBlock)
-    /// when the owning shard's lock stays busy past `timeout` (the caller
-    /// decides whether to give up or fall back to the blocking path). The
-    /// shard is taken in read mode, so RW-capable algorithms admit
-    /// concurrent timed probes together.
-    pub fn try_get_vec(
-        &self,
-        key: &[u8],
-        timeout: Duration,
-    ) -> Result<Option<Option<Vec<u8>>>, crate::db::WouldBlock>
-    where
-        L: RawTryLock,
-    {
-        match self.map.try_read_guard_for(key, timeout) {
-            Some(g) => Ok(g.get(key).map(|slot| slot.as_deref().map(<[u8]>::to_vec))),
-            None => Err(crate::db::WouldBlock),
-        }
-    }
-
-    /// Asynchronous [`Memtable::insert`]: awaits the owning shard instead
-    /// of spinning a thread on it. The byte-budget delta is charged inside
-    /// the shard critical section, exactly as the synchronous path, so a
-    /// racing drain can never double-count.
-    pub async fn insert_async(&self, key: &[u8], value: Slot)
-    where
-        L: RawTryLock,
-    {
-        let vlen = value.as_ref().map_or(0, |v| v.len());
-        self.map
-            .update_async(key.into(), |slot| {
-                let delta = insert_delta(key, vlen, slot.as_ref());
-                *slot = Some(value);
-                self.approx_bytes.fetch_add(delta, Ordering::Relaxed);
-            })
-            .await;
-    }
-
-    /// Asynchronous [`Memtable::get_vec`]: the shard is awaited in read
-    /// mode, so RW-capable algorithms admit concurrent async probes
-    /// together.
-    pub async fn get_vec_async(&self, key: &[u8]) -> Option<Option<Vec<u8>>>
-    where
-        L: RawTryLock,
-    {
-        self.map
-            .with_async(key, |slot| slot.map(|s| s.as_deref().map(<[u8]>::to_vec)))
-            .await
     }
 
     /// Lowers a [`KvOp`] batch onto the sharded table's vocabulary. A

@@ -17,7 +17,7 @@ use hemlock_core::raw::RawTryLock;
 use hemlock_harness::executor::TaskPool;
 use hemlock_harness::Spec;
 use hemlock_minikv::{AsyncKv, Db, Options};
-use hemlock_net::{spawn_server_with, ServerOptions};
+use hemlock_net::spawn_server;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,11 +61,6 @@ fn main() {
         "serve this long then shut down gracefully (default: until killed)",
     )
     .value(
-        "combine",
-        "on|off (default on): dispatch each pipeline burst as one \
-         flat-combined batch instead of per-op",
-    )
-    .value(
         "obs",
         "on|off (default on): observability collection; `off` measures \
          the disabled fast path (STATS still answers, with frozen counts)",
@@ -92,14 +87,6 @@ fn main() {
     let lock_key = args.get_str("lock", "async.hemlock");
     let workers: usize = args.get("threads", 4);
     let secs: f64 = args.get("secs", 0.0);
-    let combine = match args.get_str("combine", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            eprintln!("error: --combine must be `on` or `off`, got {other:?}");
-            std::process::exit(2);
-        }
-    };
     match args.get_str("obs", "on").as_str() {
         "on" => hemlock_obs::init(),
         "off" => hemlock_obs::set_enabled(false),
@@ -119,17 +106,15 @@ fn main() {
         catalog::with_timed_lock_type(entry, MakeDb).expect("async entries are trylock-capable");
 
     let pool = Arc::new(TaskPool::new(workers.max(1)));
-    let server =
-        spawn_server_with(&pool, kv, addr, ServerOptions { combine }).unwrap_or_else(|e| {
-            eprintln!("error: cannot bind {addr}: {e}");
-            std::process::exit(1);
-        });
+    let server = spawn_server(&pool, kv, addr).unwrap_or_else(|e| {
+        eprintln!("error: cannot bind {addr}: {e}");
+        std::process::exit(1);
+    });
     eprintln!(
-        "# kvserver: serving {} on {} ({} workers, {} dispatch){}",
+        "# kvserver: serving {} on {} ({} workers){}",
         entry.meta.name,
         server.local_addr(),
         pool.workers(),
-        if combine { "combined" } else { "per-op" },
         if secs > 0.0 {
             format!(", for {secs}s")
         } else {

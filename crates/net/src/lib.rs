@@ -58,7 +58,7 @@ pub use client::{AsyncConn, Client, Op};
 pub use proto::{
     encode_request, encode_response, Decoder, FrameError, Request, Response, MAX_FRAME,
 };
-pub use server::{spawn_server, spawn_server_with, ServerHandle, ServerOptions, ServerStats};
+pub use server::{spawn_server, ServerHandle, ServerStats};
 
 #[cfg(test)]
 mod proptests {

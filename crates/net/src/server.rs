@@ -9,9 +9,10 @@
 //!   happens on one of its own workers (which would join itself). The
 //!   acceptor's future is dropped before its join slot is filled.
 //! - one **connection task** per accepted socket, spawned on the pool.
-//!   Each task loops: decode every complete request, dispatch it to the
-//!   [`AsyncKv`] store (suspending on busy shards, never blocking a
-//!   worker), flush the encoded responses, then park for more bytes.
+//!   Each task loops: decode every complete request, dispatch the burst
+//!   to the [`AsyncKv`] store as one [`AsyncKv::apply_batch_async`] call
+//!   (suspending on busy shards, never blocking a worker), flush the
+//!   encoded responses, then park for more bytes.
 //! - a shared epoll [`Reactor`] parking all of the above until their
 //!   socket is ready. The pool's idle workers wait in its epoll
 //!   themselves, so a ready socket wakes the worker that serves it; the
@@ -40,23 +41,6 @@ use hemlock_obs::trace;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-
-/// Server tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerOptions {
-    /// Dispatch each decoded pipeline burst as **one**
-    /// [`AsyncKv::apply_batch_async`] call (the flat-combined path: one
-    /// shard acquisition per shard touched, one run snapshot for all the
-    /// misses) instead of awaiting one future per request. On by
-    /// default; `loadgen --combine off` measures the per-op baseline.
-    pub combine: bool,
-}
-
-impl Default for ServerOptions {
-    fn default() -> Self {
-        Self { combine: true }
-    }
-}
 
 /// Totals reported by [`ServerHandle::shutdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,23 +97,12 @@ impl Drop for ServerHandle {
 }
 
 /// Binds `addr` and starts serving `kv` with one pool task per
-/// connection and default [`ServerOptions`] (burst dispatch combined).
-/// Returns once the listener is bound; serving continues until
-/// [`ServerHandle::shutdown`].
+/// connection. Returns once the listener is bound; serving continues
+/// until [`ServerHandle::shutdown`].
 pub fn spawn_server(
     pool: &Arc<TaskPool>,
     kv: Arc<dyn AsyncKv>,
     addr: SocketAddr,
-) -> io::Result<ServerHandle> {
-    spawn_server_with(pool, kv, addr, ServerOptions::default())
-}
-
-/// [`spawn_server`] with explicit [`ServerOptions`].
-pub fn spawn_server_with(
-    pool: &Arc<TaskPool>,
-    kv: Arc<dyn AsyncKv>,
-    addr: SocketAddr,
-    opts: ServerOptions,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
@@ -140,7 +113,6 @@ pub fn spawn_server_with(
         Arc::clone(pool),
         kv,
         Arc::clone(&reactor),
-        opts,
     ));
     Ok(ServerHandle {
         local_addr,
@@ -157,7 +129,6 @@ async fn accept_loop(
     pool: Arc<TaskPool>,
     kv: Arc<dyn AsyncKv>,
     reactor: Arc<Reactor>,
-    opts: ServerOptions,
 ) -> (usize, Vec<JoinHandle<u64>>) {
     let mut conns = Vec::new();
     loop {
@@ -167,12 +138,7 @@ async fn accept_loop(
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                conns.push(pool.spawn(serve_conn(
-                    stream,
-                    Arc::clone(&kv),
-                    Arc::clone(&reactor),
-                    opts,
-                )));
+                conns.push(pool.spawn(serve_conn(stream, Arc::clone(&kv), Arc::clone(&reactor))));
             }
             Ok(None) => break, // graceful stop
             Err(_) => break,   // listener failed; stop accepting
@@ -183,12 +149,7 @@ async fn accept_loop(
 
 /// One connection's lifetime; returns the number of requests served
 /// (executed **and** response flushed).
-async fn serve_conn(
-    stream: TcpStream,
-    kv: Arc<dyn AsyncKv>,
-    reactor: Arc<Reactor>,
-    opts: ServerOptions,
-) -> u64 {
+async fn serve_conn(stream: TcpStream, kv: Arc<dyn AsyncKv>, reactor: Arc<Reactor>) -> u64 {
     if hemlock_obs::enabled() {
         hemlock_obs::registry().net_connections.inc();
     }
@@ -242,34 +203,17 @@ async fn serve_conn(
             hemlock_obs::registry().net_inflight.add(batched as i64);
             std::time::Instant::now()
         });
-        if opts.combine {
-            // The decoded burst IS the batch: one `apply_batch_async`
-            // call amortizes the whole read's lock work (flat-combined
-            // shard passes, one run snapshot, one freeze check) instead
-            // of paying it once per request. `traced` re-arms the
-            // thread's trace context on every poll (the pool migrates
-            // tasks between workers) and attributes inter-poll gaps to
-            // `task.suspend`.
-            if trace::traced(trace_id, dispatch_burst(&*kv, &mut reqs, &mut outbuf))
-                .await
-                .is_err()
-            {
-                return served;
-            }
-        } else {
-            let dispatched = trace::traced(trace_id, async {
-                for req in reqs.drain(..) {
-                    let resp = dispatch(&*kv, req).await;
-                    if encode_response(&resp, &mut outbuf).is_err() {
-                        return Err(());
-                    }
-                }
-                Ok(())
-            })
-            .await;
-            if dispatched.is_err() {
-                return served;
-            }
+        // The decoded burst IS the batch: one `apply_batch_async` call
+        // amortizes the whole read's lock work (flat-combined shard
+        // passes, one run snapshot, one freeze check) instead of paying
+        // it once per request. `traced` re-arms the thread's trace
+        // context on every poll (the pool migrates tasks between
+        // workers) and attributes inter-poll gaps to `task.suspend`.
+        if trace::traced(trace_id, dispatch_burst(&*kv, &mut reqs, &mut outbuf))
+            .await
+            .is_err()
+        {
+            return served;
         }
         if let Some(t0) = t0 {
             let reg = hemlock_obs::registry();
@@ -314,9 +258,13 @@ fn stats_text() -> String {
     hemlock_obs::registry().snapshot().render_text()
 }
 
-/// Every sampled span and lock event, rendered for the `TRACE` opcode.
+/// Every sampled span, and the lock events of sampled requests, rendered
+/// for the `TRACE` opcode. A lock event outside any sampled request
+/// (trace id 0) is left to `RECORDER`: kept here, such events crowd the
+/// sampled spans out of the one frame the document must fit.
 fn trace_json() -> String {
     let mut events = trace::export_events();
+    events.retain(|e| e.trace_id != 0 || !matches!(e.kind, trace::SpanKind::Lock(_)));
     events.sort_by_key(|e| e.t0_ns);
     newest_that_fit(events, trace::chrome_trace_json)
 }
@@ -355,7 +303,8 @@ fn newest_that_fit(
 /// KV requests to [`KvOp`]s (pings are answered in place), feeds them to
 /// [`AsyncKv::apply_batch_async`] as one unit, and encodes the
 /// positional results back in request order. `Err` means an encode
-/// failure — fatal to the connection, like the per-op path.
+/// failure, which is fatal to the connection. [`Response::Err`] exists
+/// for wire completeness; the in-memory `Db` cannot fail an operation.
 async fn dispatch_burst(
     kv: &dyn AsyncKv,
     reqs: &mut Vec<Request>,
@@ -407,37 +356,4 @@ async fn dispatch_burst(
     }
     drop(enc);
     Ok(())
-}
-
-/// Executes one request against the store. Infallible by construction —
-/// [`Response::Err`] exists for wire completeness, but the in-memory
-/// `Db` cannot fail an operation.
-async fn dispatch(kv: &dyn AsyncKv, req: Request) -> Response {
-    match req {
-        Request::Get { id, key } => match kv.get_async(&key).await {
-            Some(value) => Response::Value { id, value },
-            None => Response::NotFound { id },
-        },
-        Request::Put { id, key, value } => {
-            kv.put_async(&key, &value).await;
-            Response::Ok { id }
-        }
-        Request::Delete { id, key } => {
-            kv.delete_async(&key).await;
-            Response::Ok { id }
-        }
-        Request::Ping { id } => Response::Pong { id },
-        Request::Stats { id } => Response::Stats {
-            id,
-            text: stats_text(),
-        },
-        Request::Trace { id } => Response::Trace {
-            id,
-            json: trace_json(),
-        },
-        Request::Recorder { id } => Response::RecorderDump {
-            id,
-            text: recorder_text(),
-        },
-    }
 }

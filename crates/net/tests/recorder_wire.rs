@@ -7,7 +7,7 @@
 
 use hemlock_harness::executor::TaskPool;
 use hemlock_minikv::{Db, Options};
-use hemlock_net::{spawn_server_with, Client, Op, ServerOptions};
+use hemlock_net::{spawn_server, Client, Op};
 use hemlock_obs::ObservedHemlock;
 use std::sync::Arc;
 
@@ -15,13 +15,7 @@ use std::sync::Arc;
 fn recorder_dump_names_the_observed_lock_events() {
     let pool = Arc::new(TaskPool::new(1));
     let kv = Arc::new(Db::<ObservedHemlock>::new(Options::default())).into_async_kv();
-    let server = spawn_server_with(
-        &pool,
-        kv,
-        "127.0.0.1:0".parse().unwrap(),
-        ServerOptions { combine: true },
-    )
-    .expect("spawn server");
+    let server = spawn_server(&pool, kv, "127.0.0.1:0".parse().unwrap()).expect("spawn server");
     let mut c = Client::connect(server.local_addr()).expect("connect");
     c.pipeline(&[Op::Put(b"k", b"v")]).expect("pipeline");
     let text = c.recorder_dump().expect("RECORDER opcode answers");

@@ -87,11 +87,21 @@ impl Gauge {
         }
     }
 
+    /// Raises the peak to `v` if `v` exceeds it. The load spares the
+    /// shared word a read-modify-write below the peak; skipping is exact
+    /// because the peak only rises between resets.
+    #[inline]
+    fn raise_peak(&self, v: i64) {
+        if v > self.peak.load(Ordering::Relaxed) {
+            self.peak.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
     /// Raises the level by one, updating the peak.
     #[inline]
     pub fn inc(&self) {
         let now = self.cur.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+        self.raise_peak(now);
     }
 
     /// Lowers the level by one.
@@ -105,7 +115,7 @@ impl Gauge {
     #[inline]
     pub fn add(&self, n: i64) {
         let now = self.cur.fetch_add(n, Ordering::Relaxed) + n;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+        self.raise_peak(now);
     }
 
     /// Lowers the level by `n`.
@@ -117,7 +127,7 @@ impl Gauge {
     /// Feeds a sampled value into the peak without touching the level.
     #[inline]
     pub fn observe(&self, v: i64) {
-        self.peak.fetch_max(v, Ordering::Relaxed);
+        self.raise_peak(v);
     }
 
     /// Current level.
@@ -187,6 +197,30 @@ mod tests {
         assert_eq!(g.get(), 2, "observe must not move the level");
         g.reset();
         assert_eq!((g.get(), g.peak()), (0, 0));
+    }
+
+    #[test]
+    fn gauge_peak_is_the_maximum_of_concurrent_observers() {
+        let per: i64 = if cfg!(miri) { 200 } else { 100_000 };
+        let g = Gauge::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4i64 {
+                let (g, start) = (&g, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Disjoint values that interleave, so the threads race
+                    // to raise the peak until the very end.
+                    for i in 0..per {
+                        g.observe(i * 4 + t);
+                    }
+                });
+            }
+        });
+        assert_eq!(g.peak(), per * 4 - 1);
+        g.reset();
+        g.observe(3);
+        assert_eq!(g.peak(), 3, "a reset peak rises again");
     }
 
     #[test]

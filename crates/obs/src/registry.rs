@@ -103,7 +103,6 @@ define_registry! {
         minikv_freezes => "minikv.freezes",
         minikv_compactions => "minikv.compactions",
         minikv_compaction_copies => "minikv.compaction_copies",
-        minikv_stalls => "minikv.stalls",
         net_connections => "net.connections",
         net_requests => "net.requests",
         net_drop_protocol => "net.drop.protocol",

@@ -407,60 +407,6 @@ impl<K: Hash + Eq, V, L: RawTryLock> ShardedTable<K, V, L> {
         Some(f(g.get(key)))
     }
 
-    /// Timed [`Self::guard`]: gives up once `timeout` elapses (counted as
-    /// a contended acquisition in the census), after which the waiter is
-    /// guaranteed never to receive the shard lock from this call. Only
-    /// meaningful when `L` advertises
-    /// [`LockMeta::abortable`](hemlock_core::LockMeta).
-    pub fn try_guard_for<Q>(
-        &self,
-        key: &Q,
-        timeout: std::time::Duration,
-    ) -> Option<ShardGuard<'_, K, V, L>>
-    where
-        K: Borrow<Q>,
-        Q: Hash + ?Sized,
-    {
-        let shard = &self.shards[self.shard_index(key)];
-        match shard.map.try_lock_for(timeout) {
-            Some(guard) => {
-                shard.stats.note_acquisition(false);
-                Some(ShardGuard::wrap(guard, &self.wakers))
-            }
-            None => {
-                shard.stats.note_acquisition(true);
-                None
-            }
-        }
-    }
-
-    /// Timed [`Self::read_guard`]: the shared-mode counterpart of
-    /// [`Self::try_guard_for`]. With an RW-capable `L`, concurrent timed
-    /// readers of a hot shard are admitted together and a timed-out reader
-    /// genuinely withdraws from the read indicator.
-    pub fn try_read_guard_for<Q>(
-        &self,
-        key: &Q,
-        timeout: std::time::Duration,
-    ) -> Option<ShardReadGuard<'_, K, V, L>>
-    where
-        K: Borrow<Q> + Sync,
-        Q: Hash + ?Sized,
-        V: Sync,
-    {
-        let shard = &self.shards[self.shard_index(key)];
-        match shard.map.try_read_for(timeout) {
-            Some(guard) => {
-                shard.stats.note_acquisition(false);
-                Some(ShardReadGuard::wrap(guard, &self.wakers))
-            }
-            None => {
-                shard.stats.note_acquisition(true);
-                None
-            }
-        }
-    }
-
     /// Atomic read-modify-write over **two** slots that may live on
     /// different shards — the multi-shard transaction primitive. `f`
     /// receives both slots (`None` when absent) with [`Self::update`]'s
@@ -616,20 +562,6 @@ impl<K: Hash + Eq, V, L: RawTryLock> ShardedTable<K, V, L> {
             }
         })
         .await
-    }
-
-    /// Asynchronous [`Self::with`]: runs `f` on the slot for `key` under
-    /// the shard's read mode, awaiting a busy shard instead of spinning a
-    /// thread on it. `f` runs synchronously within one poll — the guard
-    /// never lives across a suspension point.
-    pub async fn with_async<Q, R>(&self, key: &Q, f: impl FnOnce(Option<&V>) -> R) -> R
-    where
-        K: Borrow<Q> + Sync,
-        Q: Hash + Eq + ?Sized,
-        V: Sync,
-    {
-        let g = self.read_guard_async(key).await;
-        f(g.get(key))
     }
 
     /// Asynchronous [`Self::update`]: read-modify-write on `key`'s slot,
@@ -1045,24 +977,15 @@ mod tests {
 
     #[test]
     fn try_with_and_timed_guards_respect_a_busy_shard() {
-        use std::time::Duration;
         let t: Table<u32, u32> = ShardedTable::with_shards(1);
         t.insert(1, 10);
-        // Free: all bounded paths succeed.
+        // Free: the non-blocking path succeeds.
         assert_eq!(t.try_with(&1, |v| v.copied()), Some(Some(10)));
-        assert!(t.try_guard_for(&1, Duration::from_millis(5)).is_some());
-        assert!(t.try_read_guard_for(&1, Duration::from_millis(5)).is_some());
-        // Busy: they refuse or time out instead of stalling.
+        // Busy: it refuses instead of stalling.
         let g = t.guard(&1);
         assert_eq!(t.try_with(&1, |_| ()), None);
-        let t0 = std::time::Instant::now();
-        assert!(t.try_guard_for(&1, Duration::from_millis(10)).is_none());
-        assert!(t0.elapsed() >= Duration::from_millis(10));
-        assert!(t
-            .try_read_guard_for(&1, Duration::from_millis(10))
-            .is_none());
         drop(g);
-        // The aborted attempts left the shard fully usable.
+        // The refused attempt left the shard fully usable.
         assert_eq!(t.get(&1), Some(10));
     }
 
@@ -1238,7 +1161,6 @@ mod tests {
         block_on(async {
             t.update_async(1, |slot| *slot = Some(10)).await;
             assert_eq!(t.get_async(&1).await, Some(10));
-            assert_eq!(t.with_async(&1, |v| v.copied()).await, Some(10));
             let moved = t
                 .with_two_async(1, 2, |a, b| {
                     let v = a.take().expect("present");

@@ -4,9 +4,9 @@
 //!
 //! - an [`AsyncMutex`] protecting shared state, with a cancel-safe `lock()`
 //!   future (dropping it withdraws the pending acquisition);
-//! - minikv's `Db::{put_async, get_async}`: operations that *await* a
-//!   freeze/compaction holding the central mutex instead of stalling a
-//!   thread or returning `WouldBlock`;
+//! - minikv's `AsyncKv::{put_async, get_async}`: one-op batches that
+//!   *await* a busy memtable shard or a freeze/compaction holding the
+//!   central mutex instead of stalling a thread;
 //! - the in-tree executor (`block_on` + `TaskPool`) — no external runtime.
 //!
 //! Run with: `cargo run --release --example async_kv`
@@ -14,7 +14,7 @@
 use hemlock_async::AsyncMutex;
 use hemlock_core::hemlock::Hemlock;
 use hemlock_harness::executor::{block_on, TaskPool};
-use hemlock_minikv::{Db, Options};
+use hemlock_minikv::{AsyncKv, Db, Options};
 use std::sync::Arc;
 
 fn main() {

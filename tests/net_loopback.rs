@@ -14,9 +14,7 @@ use hemlock_core::raw::RawTryLock;
 use hemlock_harness::executor::TaskPool;
 use hemlock_harness::reactor::Reactor;
 use hemlock_minikv::{AsyncKv, Db, Options};
-use hemlock_net::{
-    spawn_server_with, AsyncConn, Client, Op, Response, ServerHandle, ServerOptions,
-};
+use hemlock_net::{spawn_server, AsyncConn, Client, Op, Response, ServerHandle};
 use std::sync::Arc;
 
 fn tiny_opts() -> Options {
@@ -30,15 +28,13 @@ fn tiny_opts() -> Options {
 /// Spawns a fresh server over a `Db<L>` for the given catalog entry.
 struct Spawn<'a> {
     pool: &'a Arc<TaskPool>,
-    opts: ServerOptions,
 }
 
 impl TimedLockVisitor for Spawn<'_> {
     type Output = ServerHandle;
     fn visit<L: RawTryLock + 'static>(self, _entry: &'static CatalogEntry) -> ServerHandle {
         let kv: Arc<dyn AsyncKv> = Arc::new(Db::<L>::new(tiny_opts())).into_async_kv();
-        spawn_server_with(self.pool, kv, "127.0.0.1:0".parse().unwrap(), self.opts)
-            .expect("bind loopback")
+        spawn_server(self.pool, kv, "127.0.0.1:0".parse().unwrap()).expect("bind loopback")
     }
 }
 
@@ -101,29 +97,21 @@ fn drive(addr: std::net::SocketAddr, lock: &str) -> u64 {
 }
 
 /// GET/PUT/DELETE/PING round-trips + graceful shutdown accounting under
-/// every abortable lock in the `async.*` catalog — in **both** dispatch
-/// modes, so the combined (batched) server path proves itself
-/// observably identical to the per-op baseline on every lock.
+/// every abortable lock in the `async.*` catalog.
 #[test]
 fn round_trips_and_graceful_shutdown_under_every_async_lock() {
     let pool = Arc::new(TaskPool::new(2));
-    for combine in [true, false] {
-        let opts = ServerOptions { combine };
-        for entry in catalog::entries(View::Async) {
-            let key = entry.key;
-            let server = catalog::with_timed_lock_type(entry, Spawn { pool: &pool, opts })
-                .expect("async entries are trylock-capable");
-            let responses = drive(server.local_addr(), key);
-            let stats = server.shutdown();
-            assert_eq!(
-                stats.connections, 1,
-                "{key} combine={combine}: one client connected"
-            );
-            assert_eq!(
-                stats.requests, responses,
-                "{key} combine={combine}: every request the client saw answered must be counted served"
-            );
-        }
+    for entry in catalog::entries(View::Async) {
+        let key = entry.key;
+        let server = catalog::with_timed_lock_type(entry, Spawn { pool: &pool })
+            .expect("async entries are trylock-capable");
+        let responses = drive(server.local_addr(), key);
+        let stats = server.shutdown();
+        assert_eq!(stats.connections, 1, "{key}: one client connected");
+        assert_eq!(
+            stats.requests, responses,
+            "{key}: every request the client saw answered must be counted served"
+        );
     }
 }
 
@@ -140,10 +128,7 @@ fn sixty_four_pipelined_connections_survive_shutdown_accounting() {
     let server_pool = Arc::new(TaskPool::new(4));
     let server = catalog::with_timed_lock_type(
         catalog::find(View::Async, "async.hemlock").expect("async.hemlock is in the catalog"),
-        Spawn {
-            pool: &server_pool,
-            opts: ServerOptions::default(),
-        },
+        Spawn { pool: &server_pool },
     )
     .expect("async entries are trylock-capable");
     let addr = server.local_addr();
@@ -216,10 +201,7 @@ fn shutdown_returns_promptly_with_idle_connected_peers() {
     let pool = Arc::new(TaskPool::new(2));
     let server = catalog::with_timed_lock_type(
         catalog::find(View::Async, "async.hemlock").expect("async.hemlock is in the catalog"),
-        Spawn {
-            pool: &pool,
-            opts: ServerOptions::default(),
-        },
+        Spawn { pool: &pool },
     )
     .expect("async entries are trylock-capable");
     let idle: Vec<Client> = (0..PEERS)
@@ -260,10 +242,7 @@ fn two_live_servers_on_one_worker_each_serve_their_peers() {
             catalog::with_timed_lock_type(
                 catalog::find(View::Async, "async.hemlock")
                     .expect("async.hemlock is in the catalog"),
-                Spawn {
-                    pool: &pool,
-                    opts: ServerOptions::default(),
-                },
+                Spawn { pool: &pool },
             )
             .expect("async entries are trylock-capable")
         };
@@ -300,10 +279,7 @@ fn an_oversized_frame_header_drops_only_that_connection() {
     let pool = Arc::new(TaskPool::new(2));
     let server = catalog::with_timed_lock_type(
         catalog::find(View::Async, "async.hemlock").expect("async.hemlock is in the catalog"),
-        Spawn {
-            pool: &pool,
-            opts: ServerOptions::default(),
-        },
+        Spawn { pool: &pool },
     )
     .expect("async entries are trylock-capable");
 

@@ -6,7 +6,7 @@
 use hemlock_core::hemlock::Hemlock;
 use hemlock_harness::executor::TaskPool;
 use hemlock_minikv::{AsyncKv, Db, Options};
-use hemlock_net::{spawn_server_with, Client, Op, ServerOptions};
+use hemlock_net::{spawn_server, Client, Op};
 use hemlock_obs::Snapshot;
 use std::sync::Arc;
 
@@ -15,13 +15,7 @@ fn stats_opcode_reports_live_metrics() {
     hemlock_obs::init();
     let pool = Arc::new(TaskPool::new(2));
     let kv: Arc<dyn AsyncKv> = Arc::new(Db::<Hemlock>::new(Options::default())).into_async_kv();
-    let server = spawn_server_with(
-        &pool,
-        kv,
-        "127.0.0.1:0".parse().unwrap(),
-        ServerOptions { combine: true },
-    )
-    .expect("bind loopback");
+    let server = spawn_server(&pool, kv, "127.0.0.1:0".parse().unwrap()).expect("bind loopback");
 
     let mut c = Client::connect(server.local_addr()).expect("connect");
     for round in 0..32 {
